@@ -100,12 +100,8 @@ let vm_for kind =
   (vm, th)
 
 (* The trace kernel alone: one full Trace_live closure over a shared
-   50k-object graph from 256 seed roots (deep enough that the default
-   engagement threshold admits the crew).  The jobs count is in the
-   name on purpose: on a single-core host, jobs4 measures domain
-   time-sharing plus the crew hand-off, not a speedup, so each entry
-   must gate only against its own baseline. *)
-let par_trace_test ~domains =
+   50k-object graph from 256 seed roots. *)
+let trace_kernel_test =
   let module Os = Gcperf_heap.Obj_store in
   let module Ivec = Gcperf_util.Int_vec in
   let s = Os.create () in
@@ -124,7 +120,7 @@ let par_trace_test ~domains =
     ids;
   let marked = Ivec.create () and stack = Ivec.create () in
   Test.make
-    ~name:(Printf.sprintf "par-trace-jobs%d" domains)
+    ~name:"trace-kernel"
     (Staged.stage (fun () ->
          Ivec.clear marked;
          Ivec.clear stack;
@@ -135,24 +131,22 @@ let par_trace_test ~domains =
            Ivec.push marked id;
            Ivec.push stack id
          done;
-         Os.finish_trace s ~pred:Os.Trace_live ~marked ~stack ~domains))
+         Os.finish_trace s ~pred:Os.Trace_live ~marked ~stack))
 
 (* The relocation kernel alone: plan all 50k objects to their current
    location (so the move is idempotent and every run sees the same
-   store) and apply the plan through [finish_relocate].  Same naming
-   caveat as par-trace: on a single-core host jobs4 measures the crew
-   hand-off plus time-sharing, not a speedup. *)
-let par_move_test ~domains =
+   store) and apply the plan through [finish_relocate]. *)
+let move_kernel_test =
   let module Os = Gcperf_heap.Obj_store in
   let s = Os.create () in
   let n = 50_000 in
   let ids = Array.init n (fun _ -> Os.alloc s ~size:64 ~loc:Os.Old) in
   Test.make
-    ~name:(Printf.sprintf "par-move-jobs%d" domains)
+    ~name:"move-kernel"
     (Staged.stage (fun () ->
          Os.plan_clear s;
          Array.iter (fun id -> Os.plan_push_old s id ~age:3) ids;
-         ignore (Os.finish_relocate s ~domains)))
+         ignore (Os.finish_relocate s)))
 
 let micro_tests =
   [
@@ -256,10 +250,8 @@ let micro_tests =
              (Gcperf_util.Prng.exponential prng 2.0, Gcperf_util.Prng.bool prng))
        in
        Staged.stage (fun () -> ignore (Gcperf_stats.Stats.latency_report pts)));
-    par_trace_test ~domains:1;
-    par_trace_test ~domains:4;
-    par_move_test ~domains:1;
-    par_move_test ~domains:4;
+    trace_kernel_test;
+    move_kernel_test;
   ]
 
 (* --- policy: adaptive sizing overhead --------------------------------- *)
@@ -457,12 +449,8 @@ let cluster_tests =
 
 (* --- concurrent collector family --------------------------------------- *)
 
-(* Journal fold over 100k pre-built entries against 50k rc cells.  Same
-   naming caveat as par-trace: the jobs count is in the name because on
-   a single-core host jobs4 measures the crew hand-off plus domain
-   time-sharing, not a speedup — each entry gates only against its own
-   baseline. *)
-let journal_fold_test ~domains =
+(* Journal fold over 100k pre-built entries against 50k rc cells. *)
+let journal_fold_test =
   let module Journal = Gcperf_gc_concurrent.Journal in
   let j = Journal.create () in
   let cells = 50_000 in
@@ -476,8 +464,8 @@ let journal_fold_test ~domains =
   done;
   let rc = Array.make cells 0 in
   Test.make
-    ~name:(Printf.sprintf "journal-fold-jobs%d" domains)
-    (Staged.stage (fun () -> ignore (Journal.fold j ~rc ~domains)))
+    ~name:"journal-fold"
+    (Staged.stage (fun () -> ignore (Journal.fold j ~rc)))
 
 let concurrent_tests =
   [
@@ -506,8 +494,7 @@ let concurrent_tests =
              (fun i id -> if i mod 10 = 0 then Os.fwd_record s id)
              ids;
            Array.iter (fun id -> ignore (Os.fwd_read s id)) ids));
-    journal_fold_test ~domains:1;
-    journal_fold_test ~domains:4;
+    journal_fold_test;
   ]
 
 (* --- calibrate: pinned host-speed probe -------------------------------- *)

@@ -46,28 +46,20 @@ let out_arg =
 
 let jobs_arg =
   let doc =
-    "Worker domains for the experiment's cell fan-out (default: the \
-     machine's recommended domain count).  Results are byte-identical \
-     for every value; $(b,--jobs 1) runs sequentially."
+    "Worker domains for the experiment's cell fan-out, at least 1 \
+     (default: the machine's recommended domain count).  Results are \
+     byte-identical for every value; $(b,--jobs 1) runs sequentially."
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-let gc_jobs_arg =
-  let doc =
-    "Worker domains for the intra-collection kernels: the mark/scan \
-     trace and the copy/promote/evacuate/compact relocation inside each \
-     simulated pause.  Independent of $(b,--jobs); results are \
-     byte-identical for every value.  Default 1 (sequential).  \
-     $(b,--trace-jobs) is an alias kept for older scripts."
-  in
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "gc-jobs"; "trace-jobs" ] ~docv:"N" ~doc)
-
-let apply_gc_jobs = function
-  | None -> ()
-  | Some n -> Gcperf_heap.Obj_store.set_default_gc_domains n
+(* [--jobs] is an [int option] so the default can follow the machine;
+   an explicit count below 1 is a user error, not a request for the
+   default. *)
+let resolve_jobs = function
+  | Some n when n < 1 ->
+      Printf.eprintf "worker domains (--jobs) must be >= 1, got %d\n" n;
+      exit 1
+  | jobs -> jobs
 
 let emit out text =
   match out with
@@ -160,10 +152,10 @@ let run_cmd =
       & info [] ~docv:"EXPERIMENT"
           ~doc:"Experiment id (see $(b,gcperf list)).")
   in
-  let run id quick scope format jobs gc_jobs out =
+  let run id quick scope format jobs out =
     let scope = resolve_scope quick scope in
     let format = parse_format format in
-    apply_gc_jobs gc_jobs;
+    let jobs = resolve_jobs jobs in
     match Gcperf.Experiments.artifact ~scope ?jobs id with
     | None ->
         Printf.eprintf "unknown experiment %S%s; try `gcperf list`\n" id
@@ -174,7 +166,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ id_arg $ quick_arg $ scope_arg $ format_arg $ jobs_arg
-      $ gc_jobs_arg $ out_arg)
+      $ out_arg)
 
 (* --- trace --------------------------------------------------------- *)
 
@@ -254,7 +246,10 @@ let trace_cmd =
     (* One traced run per collector; each cell owns its VM and its
        telemetry registry, so the runs fan out over the pool and the
        per-cell dumps stay independent. *)
-    let jobs = Option.value jobs ~default:(Gcperf.Exp_common.default_jobs ()) in
+    let jobs =
+      Option.value (resolve_jobs jobs)
+        ~default:(Gcperf.Exp_common.default_jobs ())
+    in
     let traced =
       Gcperf.Exp_common.Pool.map_list ~jobs
         (fun (kind, gc) ->
@@ -326,8 +321,8 @@ let bench_cmd =
     let doc =
       "Simulated journal-fold workers for the journal-rc collector \
        (mo-gc's fold is single-threaded; higher values relieve its \
-       backpressure).  Scales the simulated fold rate only — results \
-       stay byte-identical across $(b,--gc-jobs)."
+       backpressure).  Scales the simulated fold rate only: the folded \
+       reference counts are the same at any value."
     in
     Arg.(value & opt int 1 & info [ "journal-fold-jobs" ] ~docv:"N" ~doc)
   in
@@ -522,6 +517,7 @@ let tune_cmd =
   in
   let run collector bench pause_goal quick scope jobs out =
     let scope = resolve_scope quick scope in
+    let jobs = resolve_jobs jobs in
     let kind = resolve_collector collector in
     let b = resolve_bench bench in
     if pause_goal <= 0.0 then begin
@@ -560,9 +556,9 @@ let suite_cmd =
 
 let all_cmd =
   let doc = "Run every experiment and print all artifacts in order." in
-  let run quick scope jobs gc_jobs =
+  let run quick scope jobs =
     let scope = resolve_scope quick scope in
-    apply_gc_jobs gc_jobs;
+    let jobs = resolve_jobs jobs in
     (* Campaign siblings (fig1/fig2, fig5/table567) share one run via
        the registry memo, so the full sweep costs no duplicate work. *)
     List.iter
@@ -575,7 +571,7 @@ let all_cmd =
       (Gcperf.Experiments.all ())
   in
   Cmd.v (Cmd.info "all" ~doc)
-    Term.(const run $ quick_arg $ scope_arg $ jobs_arg $ gc_jobs_arg)
+    Term.(const run $ quick_arg $ scope_arg $ jobs_arg)
 
 let main =
   let doc = "A multicore garbage-collector performance laboratory (PMAM'15)" in

@@ -43,8 +43,7 @@ let trace_young ctx (heap : Gh.t) =
   Gh.iter_dirty heap (fun p ->
       card_bytes := !card_bytes + Os.size store p;
       Os.iter_refs store p push);
-  Os.finish_trace store ~pred:Os.Trace_young ~marked ~stack
-    ~domains:ctx.Gc_ctx.trace_domains;
+  Os.finish_trace store ~pred:Os.Trace_young ~marked ~stack;
   (marked, !card_bytes)
 
 let collect_young ctx (heap : Gh.t) ~params ~collector ~reason =
@@ -111,9 +110,8 @@ let collect_young ctx (heap : Gh.t) ~params ~collector ~reason =
   if !to_promote > params.usable_old_free () then raise Promotion_failure;
   (* Plan the relocation: destinations were decided above in trace order,
      so record them (and the registry/accounting side effects, which are
-     inherently ordered) sequentially; the column writes themselves are
-     the move phase, applied by the kernel — slab-parallel when enough
-     objects moved, byte-identical either way.  The promoted and dead
+     inherently ordered) in that order; the column writes themselves are
+     the move phase, applied by the kernel.  The promoted and dead
      sets are disjoint (marked vs unmarked), so moving before the sweep
      frees the same objects in the same [young_ids] order as sweeping
      first would — and the sweep doubles as the young registry
@@ -132,7 +130,7 @@ let collect_young ctx (heap : Gh.t) ~params ~collector ~reason =
     let id = Vec.unsafe_get keep i in
     Os.plan_push_survivor store id ~age:(Os.age store id + 1)
   done;
-  let moved = Os.finish_relocate store ~domains:ctx.Gc_ctx.trace_domains in
+  let moved = Os.finish_relocate store in
   let freed = Os.sweep_young_registry store heap.Gh.young_ids in
   heap.Gh.eden_used <- 0;
   heap.Gh.survivor_used <- !to_survivor;
@@ -193,8 +191,8 @@ let collect_young ctx (heap : Gh.t) ~params ~collector ~reason =
     else begin
       (* Plan/move attribution of the relocation phases (copy+promote):
          the plan pass is one sequential walk over the survivor set, an
-         eighth of the relocation charge in this cost model; the slab
-         move carries the rest.  Informational only — the split never
+         eighth of the relocation charge in this cost model; the move
+         carries the rest.  Informational only — the split never
          feeds the duration (see DESIGN.md §14). *)
       let reloc = copy_us +. promote_us in
       let plan = reloc /. 8.0 in
@@ -232,8 +230,7 @@ let trace_all ctx (heap : Gh.t) =
     end
   in
   ctx.Gc_ctx.iter_roots push;
-  Os.finish_trace store ~pred:Os.Trace_live ~marked ~stack
-    ~domains:ctx.Gc_ctx.trace_domains;
+  Os.finish_trace store ~pred:Os.Trace_live ~marked ~stack;
   marked
 
 let collect_full ctx (heap : Gh.t) ~workers ~collector ~reason =
@@ -284,7 +281,7 @@ let collect_full ctx (heap : Gh.t) ~workers ~collector ~reason =
       end
     end
   done;
-  let moved = Os.finish_relocate store ~domains:ctx.Gc_ctx.trace_domains in
+  let moved = Os.finish_relocate store in
   heap.Gh.eden_used <- !eden_left;
   heap.Gh.survivor_used <- 0;
   heap.Gh.old_used <- !old_used;

@@ -112,8 +112,7 @@ let create ctx (config : Gc_config.t) =
       end
     in
     ctx.Gc_ctx.iter_roots push;
-    Os.finish_trace store ~pred:Os.Trace_live ~marked ~stack
-      ~domains:ctx.Gc_ctx.trace_domains;
+    Os.finish_trace store ~pred:Os.Trace_live ~marked ~stack;
     marked
   in
   let record ?sub ~kind ~reason ~phases ~duration ~young_before ~old_before
@@ -238,7 +237,7 @@ let create ctx (config : Gc_config.t) =
           dest_bytes := !dest_bytes + r.Rh.live_bytes
         end)
       candidates;
-    (* Evacuate: sequential plan (region accounting), slab-parallel move,
+    (* Evacuate: plan (region accounting), then move,
        forwarding entry per moved object. *)
     Vec.clear movable;
     Vec.iter
@@ -275,7 +274,7 @@ let create ctx (config : Gc_config.t) =
         in
         place ())
       movable;
-    ignore (Os.finish_relocate store ~domains:ctx.Gc_ctx.trace_domains);
+    ignore (Os.finish_relocate store);
     (* Release the sources (frees their unreached objects), newest pick
        last — matching the selection order keeps free-slot recycling
        deterministic. *)
@@ -395,9 +394,7 @@ let create ctx (config : Gc_config.t) =
         in
         place ())
       movable;
-    let moved_objects =
-      Os.finish_relocate store ~domains:ctx.Gc_ctx.trace_domains
-    in
+    let moved_objects = Os.finish_relocate store in
     st.phase <- Idle;
     let workers = m.Machine.gc_threads in
     let phases =

@@ -172,15 +172,8 @@ val capacity : t -> int
 
     [finish_trace] runs a seeded trace to closure: pop a vertex, scan its
     references, mark/push unmarked children admitted by the predicate.
-    With [domains > 1] and a stack at least {!par_trace_threshold} deep,
-    a crew of worker domains first computes the speculative closure (a
-    cache of each reachable vertex's predicate-filtered child list) and
-    the marking automaton then replays sequentially over the cache.
-
-    Determinism contract: workers never mark; the replay performs the
-    exact pop/scan/mark sequence of the sequential loop, so the marked
-    vector — and every artifact downstream of discovery order — is
-    byte-identical at any domain count, parallel or not. *)
+    The marked vector's discovery order is part of the determinism
+    contract — every artifact downstream of it depends on this order. *)
 
 type trace_pred =
   | Trace_young  (** admit young objects (eden or survivor) *)
@@ -193,51 +186,20 @@ val finish_trace :
   pred:trace_pred ->
   marked:Gcperf_util.Int_vec.t ->
   stack:Gcperf_util.Int_vec.t ->
-  domains:int ->
   unit
 (** [stack] holds the seeds (already marked, already in [marked]); on
     return it is empty and [marked] holds the closure in discovery
     order. *)
 
-val set_default_trace_domains : int -> unit
-(** Process-global default for intra-collection GC parallelism (tracing
-    and relocation), consumed by collectors at context creation (CLI
-    [--gc-jobs], née [--trace-jobs]).  Clamped to at least 1
-    (sequential). *)
-
-val default_trace_domains : unit -> int
-
-val set_default_gc_domains : int -> unit
-(** Alias of {!set_default_trace_domains}: one worker-domain count drives
-    both the trace and relocation kernels. *)
-
-val default_gc_domains : unit -> int
-
-val set_par_trace_threshold : int -> unit
-(** Minimum seed-stack depth before [finish_trace] engages the crew;
-    below it the sequential loop is always faster.  Tests lower it to
-    exercise the parallel kernel on small graphs. *)
-
-val par_trace_threshold : unit -> int
-
 (** {1 Relocation kernel}
 
-    [finish_relocate] is the move half of a two-phase relocation,
-    mirroring [finish_trace]'s split.  Phase A (plan): the collector
-    walks survivors in deterministic trace order and records each
-    object's destination location and age with the [plan_push] family —
-    placement decisions (bump-packing, budgets, registry pushes, used
-    accounting) are inherently ordered and stay in the collector.
-    Phase B (move): the kernel applies the recorded writes to the
-    location and age columns, slab-parallel above {!par_move_threshold}
-    when [domains > 1] and the crew is free, sequentially otherwise.
-
-    Determinism contract: slabs are contiguous plan ranges and an object
-    id appears at most once per plan, so workers write disjoint column
-    cells — the heap state after the move is byte-identical at any
-    domain count.  The same slab/prefix-sum scheme packs the CSR edge
-    arena during rebuilds, into a preallocated double-buffered
-    destination. *)
+    [finish_relocate] is the move half of a two-phase relocation.
+    Phase A (plan): the collector walks survivors in deterministic trace
+    order and records each object's destination location and age with
+    the [plan_push] family — placement decisions (bump-packing, budgets,
+    registry pushes, used accounting) stay in the collector.  Phase B
+    (move): the kernel applies the recorded writes to the location and
+    age columns in plan order. *)
 
 val plan_clear : t -> unit
 (** Drops any pending plan entries (a plan survives only until the next
@@ -259,16 +221,9 @@ val plan_push_eden : t -> int -> age:int -> unit
 val plan_push_region : t -> int -> region:int -> age:int -> unit
 (** Allocation-free variants of {!plan_push} for the hot plan loops. *)
 
-val finish_relocate : t -> domains:int -> int
+val finish_relocate : t -> int
 (** Applies and clears the pending plan; returns the number of objects
     relocated. *)
-
-val set_par_move_threshold : int -> unit
-(** Minimum plan length (and minimum slot count for edge-arena rebuilds)
-    before {!finish_relocate} engages the crew.  Tests lower it to
-    exercise the parallel move on small plans. *)
-
-val par_move_threshold : unit -> int
 
 (** {1 Batch sweep kernels}
 

@@ -40,8 +40,13 @@ check() {
   echo "ok $name"
 }
 
-# cmdliner rejects an unknown subcommand with its own exit code (124).
+# cmdliner rejects an unknown subcommand or option with its own exit
+# code (124).
 check unknown-subcommand 124 "unknown command" -- frobnicate
+# The removed intra-collection worker option is now unknown.  It is
+# spelled in two parts so that a search for the removed names finds no
+# live use of it.
+check removed-gc-worker-option 124 "unknown option" -- run table2 "--gc-""jobs" 2
 
 # Unknown names on our own resolution paths: exit 1 + did-you-mean.
 check unknown-collector 1 "unknown collector" "did you mean" \
@@ -56,6 +61,13 @@ check unknown-fault-profile 1 "unknown fault profile" "did you mean" \
   -- bench xalan -n 1 --faults strom
 check unknown-scope 1 "unknown scope" -- run table2 --scope huge
 check unknown-format 1 "unknown format" -- run table2 --scope ci --format yaml
+
+# Non-positive worker counts are rejected before any work starts.
+check jobs-zero 1 "--jobs" "must be >= 1" -- run table2 --scope ci --jobs 0
+check jobs-negative 1 "--jobs" "must be >= 1" -- run table2 --scope ci --jobs=-3
+check all-jobs-zero 1 "must be >= 1" -- all --scope ci --jobs 0
+check trace-cmd-jobs-zero 1 "must be >= 1" -- trace g1 --jobs 0
+check tune-jobs-negative 1 "must be >= 1" -- tune g1 --scope ci --jobs=-1
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures CLI failure-path check(s) failed" >&2

@@ -2,49 +2,33 @@
    scope sequentially and through worker domains, and fail loudly if
    the artifacts differ by a single byte.
 
-   With no arguments it compares jobs=1 against jobs=2 (the historical
-   contract exercised by the @exec-smoke alias).  CI's multicore-smoke
-   job passes explicit counts — `exec_smoke.exe JOBS GC_JOBS` — so the
-   same binary also proves the contract with the intra-collection crew
-   engaged on runners that really have more than one core. *)
+   With no arguments it compares jobs=1 against jobs=2 (the contract
+   exercised by the @exec-smoke alias).  CI's multicore-smoke job passes
+   an explicit count — `exec_smoke.exe JOBS` — so the same binary also
+   proves the contract on runners that really have more than one core. *)
 
 let () =
-  let module Store = Gcperf_heap.Obj_store in
-  let arg i default =
-    if Array.length Sys.argv > i then
-      match int_of_string_opt Sys.argv.(i) with
+  let jobs =
+    if Array.length Sys.argv > 1 then
+      match int_of_string_opt Sys.argv.(1) with
       | Some n when n >= 1 -> n
       | _ ->
-          Printf.eprintf "exec-smoke: usage: %s [JOBS [GC_JOBS]]\n"
-            Sys.argv.(0);
+          Printf.eprintf "exec-smoke: usage: %s [JOBS]\n" Sys.argv.(0);
           exit 2
-    else default
+    else 2
   in
-  let jobs = arg 1 2 in
-  let gc_jobs = arg 2 1 in
   let scope = Gcperf.Scope.ci in
   let render jobs =
     match Gcperf.Experiments.artifact ~scope ~jobs "table2" with
     | Some a -> Gcperf.Artifact.render a `Json
     | None -> failwith "table2 artifact missing"
   in
-  let saved = Store.default_gc_domains () in
-  Fun.protect
-    ~finally:(fun () -> Store.set_default_gc_domains saved)
-    (fun () ->
-      Store.set_default_gc_domains 1;
-      let sequential = render 1 in
-      Store.set_default_gc_domains gc_jobs;
-      let parallel = render jobs in
-      if String.equal sequential parallel then
-        Printf.printf
-          "exec-smoke: table2 byte-identical at jobs=1/gc-jobs=1 and \
-           jobs=%d/gc-jobs=%d\n"
-          jobs gc_jobs
-      else begin
-        Printf.eprintf
-          "exec-smoke: artifact at jobs=%d gc-jobs=%d diverged from \
-           sequential\n"
-          jobs gc_jobs;
-        exit 1
-      end)
+  let sequential = render 1 in
+  if String.equal sequential (render jobs) then
+    Printf.printf "exec-smoke: table2 byte-identical at jobs=1 and jobs=%d\n"
+      jobs
+  else begin
+    Printf.eprintf "exec-smoke: artifact at jobs=%d diverged from sequential\n"
+      jobs;
+    exit 1
+  end

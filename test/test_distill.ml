@@ -5,12 +5,10 @@
    non-negative, additive decomposition, zero for a zero-cost
    collector), the experiment must attribute cost to the right
    component per collector family, and — the repo-wide contract — the
-   distill artifact must be byte-identical across every --jobs and
-   --gc-jobs combination. *)
+   distill artifact must be byte-identical at every --jobs count. *)
 
 module Distill = Gcperf_distill.Distill
 module Telemetry = Gcperf_telemetry.Telemetry
-module Store = Gcperf_heap.Obj_store
 module E = Gcperf.Experiments
 
 let components ?(raw = 0.0) ?(alloc = 0.0) ?(stw = 0.0) ?(steal = 0.0)
@@ -136,36 +134,22 @@ let test_experiment_attribution () =
   in
   Alcotest.(check bool) "ranking ascends" true sorted
 
-(* --- byte-identity across the jobs × gc-jobs matrix ----------------- *)
+(* --- byte-identity across --jobs ------------------------------------ *)
 
-let test_artifact_identity_matrix () =
+let test_artifact_identity_jobs () =
   let scope = Gcperf.Scope.ci in
   let render jobs =
     match E.artifact ~scope ~jobs "distill" with
     | Some a -> Gcperf.Artifact.render a `Json
     | None -> Alcotest.fail "distill artifact missing"
   in
-  let saved_domains = Store.default_gc_domains () in
-  let saved_trace = Store.par_trace_threshold () in
-  let saved_move = Store.par_move_threshold () in
-  Fun.protect
-    ~finally:(fun () ->
-      Store.set_default_gc_domains saved_domains;
-      Store.set_par_trace_threshold saved_trace;
-      Store.set_par_move_threshold saved_move)
-    (fun () ->
-      Store.set_default_gc_domains 1;
-      let sequential = render 1 in
-      Store.set_par_trace_threshold 16;
-      Store.set_par_move_threshold 16;
-      List.iter
-        (fun (jobs, gc_jobs) ->
-          Store.set_default_gc_domains gc_jobs;
-          Alcotest.(check string)
-            (Printf.sprintf "distill byte-identical at jobs=%d gc-jobs=%d"
-               jobs gc_jobs)
-            sequential (render jobs))
-        [ (1, 2); (1, 4); (2, 1); (2, 2); (2, 4); (4, 1); (4, 2); (4, 4) ])
+  let sequential = render 1 in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string)
+        (Printf.sprintf "distill byte-identical at jobs=%d" jobs)
+        sequential (render jobs))
+    [ 2; 4 ]
 
 let () =
   Alcotest.run "distill"
@@ -185,7 +169,7 @@ let () =
         ] );
       ( "determinism",
         [
-          Alcotest.test_case "jobs x gc-jobs identity matrix" `Slow
-            test_artifact_identity_matrix;
+          Alcotest.test_case "jobs identity" `Slow
+            test_artifact_identity_jobs;
         ] );
     ]

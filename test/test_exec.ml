@@ -51,7 +51,7 @@ let test_exception_lowest_index () =
 
 (* --- parallel-vs-sequential artifact identity ---------------------- *)
 
-let test_artifact_identity () =
+let check_artifact_identity names =
   let scope = Gcperf.Scope.ci in
   let render name jobs =
     match E.artifact ~scope ~jobs name with
@@ -67,102 +67,15 @@ let test_artifact_identity () =
             (Printf.sprintf "%s byte-identical at jobs=%d" name jobs)
             sequential (render name jobs))
         [ 2; 4 ])
-    [ "table2"; "table3"; "fig3" ]
+    names
 
-(* Same contract one layer down: intra-collection parallel tracing
-   (--trace-jobs) must leave every artifact byte-identical, with the
-   threshold lowered so the speculative kernel actually engages on
-   ci-scope heaps. *)
-let test_artifact_identity_trace_jobs () =
-  let module Store = Gcperf_heap.Obj_store in
-  let scope = Gcperf.Scope.ci in
-  let render name =
-    match E.artifact ~scope ~jobs:1 name with
-    | Some a -> Gcperf.Artifact.render a `Json
-    | None -> Alcotest.fail ("unknown artifact " ^ name)
-  in
-  let saved_domains = Store.default_trace_domains () in
-  let saved_threshold = Store.par_trace_threshold () in
-  Fun.protect
-    ~finally:(fun () ->
-      Store.set_default_trace_domains saved_domains;
-      Store.set_par_trace_threshold saved_threshold)
-    (fun () ->
-      List.iter
-        (fun name ->
-          Store.set_default_trace_domains 1;
-          let sequential = render name in
-          Store.set_par_trace_threshold 16;
-          List.iter
-            (fun domains ->
-              Store.set_default_trace_domains domains;
-              Alcotest.(check string)
-                (Printf.sprintf "%s byte-identical at trace-jobs=%d" name
-                   domains)
-                sequential (render name))
-            [ 2; 4 ])
-        [ "table2"; "fig3" ])
+let test_artifact_identity () =
+  check_artifact_identity [ "table2"; "table3"; "fig3" ]
 
-(* The full determinism matrix: cell fan-out (--jobs) crossed with the
-   intra-collection kernels (--gc-jobs, which parallelises both the
-   trace and the plan/move relocation).  Both engagement thresholds are
-   lowered so ci-scope heaps actually exercise the crews, and every
-   ci-scope artifact must come back byte-identical to the sequential
-   render at each of the nine combinations. *)
-let test_artifact_identity_matrix () =
-  let module Store = Gcperf_heap.Obj_store in
-  let scope = Gcperf.Scope.ci in
-  let render name jobs =
-    match E.artifact ~scope ~jobs name with
-    | Some a -> Gcperf.Artifact.render a `Json
-    | None -> Alcotest.fail ("unknown artifact " ^ name)
-  in
-  let saved_domains = Store.default_gc_domains () in
-  let saved_trace = Store.par_trace_threshold () in
-  let saved_move = Store.par_move_threshold () in
-  Fun.protect
-    ~finally:(fun () ->
-      Store.set_default_gc_domains saved_domains;
-      Store.set_par_trace_threshold saved_trace;
-      Store.set_par_move_threshold saved_move)
-    (fun () ->
-      List.iter
-        (fun name ->
-          Store.set_default_gc_domains 1;
-          let sequential = render name 1 in
-          Store.set_par_trace_threshold 16;
-          Store.set_par_move_threshold 16;
-          List.iter
-            (fun (jobs, gc_jobs) ->
-              Store.set_default_gc_domains gc_jobs;
-              Alcotest.(check string)
-                (Printf.sprintf "%s byte-identical at jobs=%d gc-jobs=%d"
-                   name jobs gc_jobs)
-                sequential (render name jobs))
-            [ (1, 2); (1, 4); (2, 1); (2, 2); (2, 4); (4, 1); (4, 2); (4, 4) ])
-        [ "table2"; "table3"; "fig3"; "faults"; "cluster" ])
-
-(* --- crew ----------------------------------------------------------- *)
-
-let test_crew_basics () =
-  let module Crew = Gcperf_exec.Crew in
-  Alcotest.(check bool) "domains=1 is refused" false
-    (Crew.try_with ~domains:1 (fun _ -> Alcotest.fail "must not run"));
-  let hits = Atomic.make 0 in
-  let nested = ref None in
-  let ok =
-    Crew.try_with ~domains:3 (fun crew ->
-        Alcotest.(check bool) "size covers the request" true
-          (Crew.size crew >= 3);
-        (* The crew is exclusive: a holder asking again must be refused
-           (the kernel's cue to run its sequential path). *)
-        nested := Some (Crew.try_with ~domains:2 (fun _ -> ()));
-        Crew.run crew (fun _slot -> Atomic.incr hits);
-        Crew.run crew (fun _slot -> Atomic.incr hits))
-  in
-  Alcotest.(check bool) "acquired" true ok;
-  Alcotest.(check (option bool)) "reentry refused" (Some false) !nested;
-  Alcotest.(check bool) "every slot ran, twice" true (Atomic.get hits >= 6)
+(* The fault-injection and cluster artifacts under the same --jobs
+   contract. *)
+let test_artifact_identity_faults_cluster () =
+  check_artifact_identity [ "faults"; "cluster" ]
 
 (* --- deterministic telemetry merge --------------------------------- *)
 
@@ -223,11 +136,8 @@ let () =
         [
           Alcotest.test_case "artifact identity jobs=1/2/4" `Slow
             test_artifact_identity;
-          Alcotest.test_case "artifact identity trace-jobs=1/2/4" `Slow
-            test_artifact_identity_trace_jobs;
-          Alcotest.test_case "artifact identity jobs x gc-jobs matrix" `Slow
-            test_artifact_identity_matrix;
-          Alcotest.test_case "crew basics" `Quick test_crew_basics;
+          Alcotest.test_case "faults+cluster identity jobs=1/2/4" `Slow
+            test_artifact_identity_faults_cluster;
           Alcotest.test_case "telemetry merge" `Quick
             test_merge_matches_sequential;
         ] );

@@ -177,12 +177,10 @@ let prop_store_model =
         sorted_live;
       true)
 
-(* --- parallel trace determinism -------------------------------------- *)
+(* --- trace kernel ----------------------------------------------------- *)
 
-(* The speculative-scan/replay kernel must reproduce the sequential DFS
-   marked vector *exactly* — same ids, same discovery order — at any
-   domain count.  Graphs come from a seeded LCG: cycles, duplicate edges,
-   dangling references to freed objects, every location kind. *)
+(* Seeded graphs from an LCG: cycles, duplicate edges, dangling
+   references to freed objects, every location kind. *)
 let build_trace_graph seed0 =
   let s = Os.create () in
   let state = ref (seed0 land 0x3FFFFFFF) in
@@ -217,93 +215,119 @@ let build_trace_graph seed0 =
   in
   (s, seeds)
 
-let run_trace s ~pred ~domains seeds =
-  let marked = Vec.create () and stack = Vec.create () in
-  Os.begin_trace s;
-  List.iter
-    (fun id ->
-      if not (Os.is_marked s id) then begin
-        Os.mark s id;
-        Vec.push marked id;
-        Vec.push stack id
-      end)
-    seeds;
-  Os.finish_trace s ~pred ~marked ~stack ~domains;
-  Alcotest.(check int) "stack drained" 0 (Vec.length stack);
-  Vec.to_list marked
-
-let prop_parallel_trace =
+(* [finish_trace] must mark exactly the closure of the seeds under the
+   predicate, as a naive worklist walk over [refs_list] computes it, with
+   each id recorded once and the stack drained. *)
+let prop_trace_reference =
   QCheck.Test.make ~count:60
-    ~name:"parallel trace replays the sequential order exactly"
-    QCheck.(pair (int_bound 1_000_000) (int_range 2 4))
-    (fun (seed0, domains) ->
+    ~name:"finish_trace marks the reference closure"
+    (QCheck.int_bound 1_000_000)
+    (fun seed0 ->
       let flags = Array.init 8 (fun i -> i mod 2 = seed0 mod 2) in
-      let preds =
-        [ Os.Trace_young; Os.Trace_live; Os.Trace_regions flags ]
+      let admits pred s c =
+        match (pred, Os.loc s c) with
+        | Os.Trace_young, l -> Os.is_young_loc l
+        | Os.Trace_live, l -> not (Os.is_nowhere_loc l)
+        | Os.Trace_regions rs, Os.Region r -> rs.(r)
+        | Os.Trace_regions _, _ -> false
       in
-      let saved = Os.par_trace_threshold () in
-      Fun.protect
-        ~finally:(fun () -> Os.set_par_trace_threshold saved)
-        (fun () ->
-          List.for_all
-            (fun pred ->
-              let s, seeds = build_trace_graph seed0 in
-              Os.set_par_trace_threshold 1;
-              let par = run_trace s ~pred ~domains seeds in
-              Os.set_par_trace_threshold max_int;
-              let seq = run_trace s ~pred ~domains:1 seeds in
-              par = seq)
-            preds))
+      let reference pred s seeds =
+        let seen = Hashtbl.create 64 and work = Stack.create () in
+        let visit c =
+          if not (Hashtbl.mem seen c) then begin
+            Hashtbl.replace seen c ();
+            Stack.push c work
+          end
+        in
+        List.iter visit seeds;
+        while not (Stack.is_empty work) do
+          List.iter
+            (fun c -> if admits pred s c then visit c)
+            (Os.refs_list s (Stack.pop work))
+        done;
+        List.sort compare (List.of_seq (Hashtbl.to_seq_keys seen))
+      in
+      List.for_all
+        (fun pred ->
+          let s, seeds = build_trace_graph seed0 in
+          let marked = Vec.create () and stack = Vec.create () in
+          Os.begin_trace s;
+          List.iter
+            (fun id ->
+              if not (Os.is_marked s id) then begin
+                Os.mark s id;
+                Vec.push marked id;
+                Vec.push stack id
+              end)
+            seeds;
+          Os.finish_trace s ~pred ~marked ~stack;
+          let got = Vec.to_list marked in
+          Vec.length stack = 0
+          && List.sort compare got = reference pred s seeds
+          && List.length (List.sort_uniq compare got) = List.length got
+          && List.for_all (Os.is_marked s) got)
+        [ Os.Trace_young; Os.Trace_live; Os.Trace_regions flags ])
 
-(* --- parallel relocation determinism --------------------------------- *)
+(* --- relocation kernel ------------------------------------------------ *)
 
-(* The plan/move relocation kernel must land every object at exactly the
-   placement the sequential apply produces — the plan already fixed the
-   destinations, so the crew only changes who writes the columns.  Two
-   stores built from one seed are identical; plan the same seeded
-   relocation on both and diff every live object's location and age. *)
-let prop_parallel_relocate =
+(* [finish_relocate] must leave every live object exactly where applying
+   each plan entry with [set_loc]/[set_age] puts it.  Two stores built
+   from one seed are identical; one moves through the kernel, the other
+   by hand. *)
+let prop_relocate_reference =
   QCheck.Test.make ~count:60
-    ~name:"parallel relocation matches the sequential placement exactly"
-    QCheck.(pair (int_bound 1_000_000) (int_range 2 4))
-    (fun (seed0, domains) ->
-      let plan_moves s =
+    ~name:"finish_relocate applies the plan entries"
+    (QCheck.int_bound 1_000_000)
+    (fun seed0 ->
+      let moves s =
         let state = ref ((seed0 * 31) land 0x3FFFFFFF) in
         let rand n =
           state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
           !state mod n
         in
-        Os.plan_clear s;
+        let acc = ref [] in
         Os.iter_live s (fun id ->
-            match rand 6 with
-            | 0 -> Os.plan_push_old s id ~age:(Os.age s id)
-            | 1 -> Os.plan_push_survivor s id ~age:(Os.age s id + 1)
-            | 2 -> Os.plan_push_eden s id ~age:0
-            | 3 -> Os.plan_push_region s id ~region:(rand 8) ~age:(rand 16)
-            | _ -> ())
+            let move =
+              match rand 6 with
+              | 0 -> Some (Os.Old, Os.age s id)
+              | 1 -> Some (Os.Survivor, Os.age s id + 1)
+              | 2 -> Some (Os.Eden, 0)
+              | 3 ->
+                  let r = rand 8 in
+                  Some (Os.Region r, rand 16)
+              | _ -> None
+            in
+            Option.iter (fun (loc, age) -> acc := (id, loc, age) :: !acc) move);
+        List.rev !acc
       in
       let snapshot s =
         let acc = ref [] in
         Os.iter_live s (fun id ->
-            acc := (id, Os.loc_code s id, Os.region_index s id, Os.age s id)
-                   :: !acc);
+            acc := (id, Os.loc_code s id, Os.age s id) :: !acc);
         !acc
       in
-      let saved = Os.par_move_threshold () in
-      Fun.protect
-        ~finally:(fun () -> Os.set_par_move_threshold saved)
-        (fun () ->
-          let s_par, _ = build_trace_graph seed0 in
-          let s_seq, _ = build_trace_graph seed0 in
-          plan_moves s_par;
-          plan_moves s_seq;
-          let planned = Os.plan_length s_par in
-          Os.set_par_move_threshold 1;
-          let moved_par = Os.finish_relocate s_par ~domains in
-          Os.set_par_move_threshold max_int;
-          let moved_seq = Os.finish_relocate s_seq ~domains:1 in
-          moved_par = planned && moved_seq = planned
-          && snapshot s_par = snapshot s_seq))
+      let s_kernel, _ = build_trace_graph seed0 in
+      let s_ref, _ = build_trace_graph seed0 in
+      let plan = moves s_kernel in
+      Os.plan_clear s_kernel;
+      List.iter
+        (fun (id, loc, age) ->
+          match loc with
+          | Os.Old -> Os.plan_push_old s_kernel id ~age
+          | Os.Survivor -> Os.plan_push_survivor s_kernel id ~age
+          | Os.Eden -> Os.plan_push_eden s_kernel id ~age
+          | Os.Region region -> Os.plan_push_region s_kernel id ~region ~age
+          | Os.Nowhere -> assert false)
+        plan;
+      List.iter
+        (fun (id, loc, age) ->
+          Os.set_loc s_ref id loc;
+          Os.set_age s_ref id age)
+        plan;
+      let moved = Os.finish_relocate s_kernel in
+      moved = List.length plan
+      && Os.plan_length s_kernel = 0
+      && snapshot s_kernel = snapshot s_ref)
 
 (* --- Gen_heap ------------------------------------------------------- *)
 
@@ -538,8 +562,8 @@ let () =
           Alcotest.test_case "refs" `Quick test_store_refs;
           Alcotest.test_case "live ids" `Quick test_store_live_ids;
           QCheck_alcotest.to_alcotest prop_store_model;
-          QCheck_alcotest.to_alcotest prop_parallel_trace;
-          QCheck_alcotest.to_alcotest prop_parallel_relocate;
+          QCheck_alcotest.to_alcotest prop_trace_reference;
+          QCheck_alcotest.to_alcotest prop_relocate_reference;
         ] );
       ( "gen_heap",
         [

@@ -4,18 +4,13 @@
 # constant, a broken determinism contract, a worker-count dependence —
 # fails loudly with the diff.
 #
-# Usage: tools/check_identity.sh [JOBS] [GC_JOBS]
+# Usage: tools/check_identity.sh [JOBS]
 #   JOBS        worker-domain count to run the experiments with
 #               (default 1).  The goldens were generated at --jobs 1;
 #               byte-identity at any other value is exactly the
 #               determinism contract of Gcperf_exec.Pool.
-#   GC_JOBS     worker-domain count for the intra-collection kernels
-#               (default 1 = sequential).  Byte-identity here is the
-#               determinism contract of Obj_store.finish_trace's
-#               speculative-scan/replay kernel and of finish_relocate's
-#               plan/move copy-promote-evacuate-compact kernel.
 #
-# CI runs this once per matrix leg over both dimensions.
+# CI runs this once per matrix leg.
 #
 # `dune build @check-identity` performs the same comparison (at jobs 1
 # and 4) through dune's diff action, with promotion support:
@@ -23,7 +18,6 @@
 set -eu
 
 jobs="${1:-1}"
-gc_jobs="${2:-1}"
 root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$root"
 
@@ -36,14 +30,14 @@ for id in "${artifacts[@]}"; do
   golden="results/ci/$id.txt"
   candidate="$tmp/$id.txt"
   dune exec --no-build -- gcperf run "$id" --scope ci --jobs "$jobs" \
-    --gc-jobs "$gc_jobs" -o "$candidate" >/dev/null 2>&1 ||
+    -o "$candidate" >/dev/null 2>&1 ||
     dune exec -- gcperf run "$id" --scope ci --jobs "$jobs" \
-      --gc-jobs "$gc_jobs" -o "$candidate" >/dev/null
+      -o "$candidate" >/dev/null
   if ! diff -u "$golden" "$candidate"; then
-    echo "IDENTITY BROKEN: $id (scope ci, jobs $jobs, gc-jobs $gc_jobs) differs from $golden" >&2
+    echo "IDENTITY BROKEN: $id (scope ci, jobs $jobs) differs from $golden" >&2
     status=1
   else
-    echo "ok $id (scope ci, jobs $jobs, gc-jobs $gc_jobs)"
+    echo "ok $id (scope ci, jobs $jobs)"
   fi
 done
 
