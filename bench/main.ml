@@ -479,6 +479,23 @@ let concurrent_tests =
              let id = Vm.alloc vm th ~size:4096 ~lifetime:`Permanent in
              Vm.drop_root vm th id
            done));
+    Test.make ~name:"regions-alloc-64g"
+      (* The same churn on the paper's 64 GB server heap (2048 regions
+         of 32 MB, 12 GB young): each allocation's start-mark check reads
+         heap occupancy, so this is where an occupancy fold over the
+         region table would show. *)
+      (let vm =
+         Vm.create machine
+           (Gc_config.default Gc_config.Concurrent_regions
+              ~heap_bytes:(64 * 1024 * mb) ~young_bytes:(12 * 1024 * mb))
+           ~seed:7
+       in
+       let th = Vm.spawn_thread vm in
+       Staged.stage (fun () ->
+           for _ = 1 to 1000 do
+             let id = Vm.alloc vm th ~size:4096 ~lifetime:`Permanent in
+             Vm.drop_root vm th id
+           done));
     Test.make ~name:"load-barrier-read"
       (* The self-healing load barrier: 10k reads over a store where a
          tenth of the objects are forwarded — the first read of each

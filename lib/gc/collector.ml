@@ -1,3 +1,6 @@
+type probe = ..
+type probe += No_probe
+
 type t = {
   name : string;
   kind : Gc_config.kind;
@@ -16,4 +19,5 @@ type t = {
   apply_policy : unit -> unit;
   store : Gcperf_heap.Obj_store.t;
   check_invariants : unit -> (unit, string) result;
+  probe : probe;
 }

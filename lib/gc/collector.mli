@@ -6,6 +6,14 @@
     time passes, report how much it is currently slowing the mutator
     down, and maintain remembered sets on reference writes. *)
 
+type probe = ..
+(** Collector-private state exposed for introspection.  Each collector
+    module that offers [debug_stats] extends this type with a constructor
+    carrying its own state, so the stats answer for exactly the collector
+    asked and live only as long as it does. *)
+
+type probe += No_probe
+
 type t = {
   name : string;
   kind : Gc_config.kind;
@@ -54,4 +62,5 @@ type t = {
           no-op when no policy is attached. *)
   store : Gcperf_heap.Obj_store.t;
   check_invariants : unit -> (unit, string) result;
+  probe : probe;
 }

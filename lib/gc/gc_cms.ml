@@ -23,8 +23,7 @@ type state = {
   mutable concurrent_mode_failures : int;
 }
 
-(* Registry to expose internals to tests without widening Collector.t. *)
-let registry : (string, state) Hashtbl.t = Hashtbl.create 4
+type Collector.probe += Probe of state
 
 type debug = {
   cycles_started : int;
@@ -33,7 +32,11 @@ type debug = {
 }
 
 let debug_stats (c : Collector.t) =
-  let s = Hashtbl.find registry c.Collector.name in
+  let s =
+    match c.Collector.probe with
+    | Probe s -> s
+    | _ -> invalid_arg "Gc_cms.debug_stats: not a CMS collector"
+  in
   {
     cycles_started = s.cycles_started;
     concurrent_mode_failures = s.concurrent_mode_failures;
@@ -60,7 +63,6 @@ let create ctx (config : Gc_config.t) =
       concurrent_mode_failures = 0;
     }
   in
-  Hashtbl.replace registry name st;
   let usable_old_free () =
     let free = Gh.old_free heap in
     int_of_float (float_of_int free *. (1.0 -. st.fragmentation))
@@ -312,4 +314,5 @@ let create ctx (config : Gc_config.t) =
     apply_policy = Policy_hooks.gen_heap_hook ctx heap ~collector:name;
     store;
     check_invariants = (fun () -> Gh.check_invariants heap);
+    probe = Probe st;
   }

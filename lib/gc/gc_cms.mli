@@ -29,4 +29,4 @@ type debug = {
 
 val debug_stats : Collector.t -> debug
 (** Introspection for tests and ablation benches; only valid on a
-    collector created by this module.  @raise Not_found otherwise. *)
+    collector created by this module.  @raise Invalid_argument otherwise. *)

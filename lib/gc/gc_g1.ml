@@ -20,7 +20,7 @@ type state = {
   mutable evacuation_failures : int;
 }
 
-let registry : (string, state * Rh.t) Hashtbl.t = Hashtbl.create 4
+type Collector.probe += Probe of state * Rh.t
 
 type debug = {
   young_collections : int;
@@ -31,7 +31,11 @@ type debug = {
 }
 
 let debug_stats (c : Collector.t) =
-  let st, rheap = Hashtbl.find registry c.Collector.name in
+  let st, rheap =
+    match c.Collector.probe with
+    | Probe (st, rheap) -> (st, rheap)
+    | _ -> invalid_arg "Gc_g1.debug_stats: not a G1 collector"
+  in
   {
     young_collections = st.young_collections;
     mixed_collections = st.mixed_collections;
@@ -70,7 +74,6 @@ let create ctx (config : Gc_config.t) =
       evacuation_failures = 0;
     }
   in
-  Hashtbl.replace registry name (st, rheap);
   let old_hum_used () = Rh.used_old_hum rheap in
   let young_used () = Rh.used_young rheap in
   (* Per-collection scratch, hoisted so steady-state evacuation pauses
@@ -232,7 +235,7 @@ let create ctx (config : Gc_config.t) =
                 else begin
                   let size = Os.size store id in
                   freed := !freed + size;
-                  r.Rh.used <- r.Rh.used - size;
+                  Rh.add_used rheap r (-size);
                   Os.free store id
                 end)
               r.Rh.objects
@@ -266,7 +269,7 @@ let create ctx (config : Gc_config.t) =
                  kernel, the packing decisions stay sequential. *)
               Os.plan_push_region store id ~region:r.Rh.idx
                 ~age:(max (Os.age store id) !tenuring);
-              r.Rh.used <- r.Rh.used + size;
+              Rh.add_used rheap r size;
               Vec.push r.Rh.objects id
           | _ -> (
               match Rh.take_free_region rheap Rh.Old_region with
@@ -345,7 +348,7 @@ let create ctx (config : Gc_config.t) =
               (fun id ->
                 if Os.is_marked store id then live := !live + Os.size store id)
               r.Rh.objects;
-            r.Rh.live_bytes <- !live
+            Rh.set_live_bytes r !live
         | Rh.Eden | Rh.Survivor | Rh.Free -> ())
       rheap.Rh.regions;
     let y = young_used () and o = old_hum_used () in
@@ -523,10 +526,10 @@ let create ctx (config : Gc_config.t) =
             let rec place () =
               match !target with
               | Some r when r.Rh.used + size <= rheap.Rh.region_size ->
-                  src.Rh.used <- src.Rh.used - size;
+                  Rh.add_used rheap src (-size);
                   Os.plan_push_region store id ~region:r.Rh.idx
                     ~age:(Os.age store id + age_bump);
-                  r.Rh.used <- r.Rh.used + size;
+                  Rh.add_used rheap r size;
                   Vec.push r.Rh.objects id
               | _ -> (
                   match Rh.take_free_region rheap kind with
@@ -783,4 +786,5 @@ let create ctx (config : Gc_config.t) =
     apply_policy = Policy_hooks.region_heap_hook ctx rheap ~collector:name ~tenuring;
     store;
     check_invariants = (fun () -> Rh.check_invariants rheap);
+    probe = Probe (st, rheap);
   }

@@ -32,4 +32,4 @@ type debug = {
 
 val debug_stats : Collector.t -> debug
 (** Introspection for tests; only valid on a collector created here.
-    @raise Not_found otherwise. *)
+    @raise Invalid_argument otherwise. *)

@@ -145,4 +145,5 @@ let create ctx (config : Gc_config.t) =
     apply_policy = Policy_hooks.gen_heap_hook ctx heap ~collector:name;
     store;
     check_invariants = (fun () -> Gh.check_invariants heap);
+    probe = Collector.No_probe;
   }

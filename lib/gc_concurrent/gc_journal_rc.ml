@@ -53,7 +53,7 @@ type state = {
   mutable max_backlog : int;
 }
 
-let registry : (string, state) Hashtbl.t = Hashtbl.create 4
+type Collector.probe += Probe of state
 
 type debug = {
   folds : int;
@@ -65,7 +65,11 @@ type debug = {
 }
 
 let debug_stats (c : Collector.t) =
-  let st = Hashtbl.find registry c.Collector.name in
+  let st =
+    match c.Collector.probe with
+    | Probe st -> st
+    | _ -> invalid_arg "Gc_journal_rc.debug_stats: not a JournalRC collector"
+  in
   {
     folds = st.folds;
     entries_folded = st.entries_folded;
@@ -118,7 +122,6 @@ let create ctx (config : Gc_config.t) =
       max_backlog = 0;
     }
   in
-  Hashtbl.replace registry name st;
   let ensure id =
     if id >= Array.length st.rc then begin
       let cap = max 1024 (max (id + 1) (2 * Array.length st.rc)) in
@@ -476,4 +479,5 @@ let create ctx (config : Gc_config.t) =
             (Printf.sprintf "%s: used accounting drift (%d vs %d)" name
                st.used !sum)
         else Ok ());
+    probe = Probe st;
   }

@@ -39,7 +39,7 @@ type state = {
   mutable flip_healed : int;  (* entries healed by remap flips *)
 }
 
-let registry : (string, state * Rh.t) Hashtbl.t = Hashtbl.create 4
+type Collector.probe += Probe of state
 
 type debug = {
   cycles : int;
@@ -50,7 +50,11 @@ type debug = {
 }
 
 let debug_stats (c : Collector.t) =
-  let st, _ = Hashtbl.find registry c.Collector.name in
+  let st =
+    match c.Collector.probe with
+    | Probe st -> st
+    | _ -> invalid_arg "Gc_regions.debug_stats: not a regions collector"
+  in
   {
     cycles = st.cycles;
     degenerated = st.degenerated;
@@ -90,7 +94,6 @@ let create ctx (config : Gc_config.t) =
       flip_healed = 0;
     }
   in
-  Hashtbl.replace registry name (st, rheap);
   let young_used () = Rh.used_young rheap in
   let old_hum_used () = Rh.used_old_hum rheap in
   let tel = ctx.Gc_ctx.telemetry in
@@ -170,7 +173,7 @@ let create ctx (config : Gc_config.t) =
               (fun id ->
                 if Os.is_marked store id then live := !live + Os.size store id)
               r.Rh.objects;
-            r.Rh.live_bytes <- !live
+            Rh.set_live_bytes r !live
         | Rh.Humongous ->
             if r.Rh.hum_len > 0 then
               Vec.iter
@@ -259,10 +262,10 @@ let create ctx (config : Gc_config.t) =
         let rec place () =
           match !target with
           | Some r when r.Rh.used + size <= rheap.Rh.region_size ->
-              src.Rh.used <- src.Rh.used - size;
+              Rh.add_used rheap src (-size);
               Os.plan_push_region store id ~region:r.Rh.idx
                 ~age:(Os.age store id);
-              r.Rh.used <- r.Rh.used + size;
+              Rh.add_used rheap r size;
               Vec.push r.Rh.objects id;
               Os.fwd_record store id
           | _ -> (
@@ -348,7 +351,7 @@ let create ctx (config : Gc_config.t) =
                 else begin
                   let size = Os.size store id in
                   freed := !freed + size;
-                  r.Rh.used <- r.Rh.used - size;
+                  Rh.add_used rheap r (-size);
                   Os.free store id
                 end)
               r.Rh.objects
@@ -380,7 +383,7 @@ let create ctx (config : Gc_config.t) =
           | Some r when r.Rh.used + size <= rheap.Rh.region_size ->
               Os.plan_push_region store id ~region:r.Rh.idx
                 ~age:(Os.age store id);
-              r.Rh.used <- r.Rh.used + size;
+              Rh.add_used rheap r size;
               Vec.push r.Rh.objects id
           | _ -> (
               match Rh.take_free_region rheap Rh.Old_region with
@@ -542,4 +545,5 @@ let create ctx (config : Gc_config.t) =
       Policy_hooks.region_heap_hook ctx rheap ~collector:name ~tenuring;
     store;
     check_invariants = (fun () -> Rh.check_invariants rheap);
+    probe = Probe st;
   }

@@ -19,7 +19,8 @@ type t = {
   region_size : int;
   regions : region array;
   mutable current_alloc : int;
-  mutable free_count : int;
+  kind_used : int array;
+  kind_count : int array;
   free_bits : Bitset.t;
       (* membership mirror of [kind = Free]: the allocator's find-first
          is a word scan instead of a region-table walk *)
@@ -28,34 +29,46 @@ type t = {
   mutable promoted_bytes : int;
 }
 
-(* [kind_eq] and the predicates below are pattern matches: [r.kind = k]
-   on the variant would compile to a generic-compare C call inside loops
-   that run once per region per allocation check. *)
-let[@inline] kind_eq (a : region_kind) (b : region_kind) =
-  match (a, b) with
-  | Free, Free | Eden, Eden | Survivor, Survivor -> true
-  | Old_region, Old_region | Humongous, Humongous -> true
-  | _ -> false
-
+(* Pattern matches, not [r.kind = k]: generic compare on the variant
+   would be a C call inside per-region loops. *)
 let[@inline] is_free_kind = function
   | Free -> true
   | Eden | Survivor | Old_region | Humongous -> false
 
-(* Every [kind] transition goes through here so [free_count] and the
-   free bitset stay exact (an O(1) [free_regions] and an O(words)
-   find-first — the allocation slow-path consults both on every request,
-   so a fold over the region table is a per-alloc tax). *)
-let[@inline] set_kind t r kind =
-  (match (r.kind, kind) with
-  | Free, Free -> ()
-  | Free, _ ->
-      t.free_count <- t.free_count - 1;
-      Bitset.clear t.free_bits r.idx
-  | _, Free ->
-      t.free_count <- t.free_count + 1;
-      Bitset.set t.free_bits r.idx
-  | _, _ -> ());
+let[@inline] kind_index = function
+  | Free -> 0
+  | Eden -> 1
+  | Survivor -> 2
+  | Old_region -> 3
+  | Humongous -> 4
+
+let n_kinds = 5
+
+(* [set_kind] and [add_used] are the only writers of a region's [kind]
+   and [used]: together they keep [kind_used]/[kind_count] exact, so
+   every occupancy read below is an array read instead of a fold over
+   the region table (the pauseless collectors read heap occupancy on
+   every allocation, and a 64 GB heap has 2048 regions).  The free
+   bitset mirrors [kind = Free] for the allocator's word-scan
+   find-first. *)
+let set_kind t r kind =
+  let a = kind_index r.kind and b = kind_index kind in
+  if a <> b then begin
+    t.kind_count.(a) <- t.kind_count.(a) - 1;
+    t.kind_count.(b) <- t.kind_count.(b) + 1;
+    t.kind_used.(a) <- t.kind_used.(a) - r.used;
+    t.kind_used.(b) <- t.kind_used.(b) + r.used;
+    if is_free_kind r.kind then Bitset.clear t.free_bits r.idx
+    else if is_free_kind kind then Bitset.set t.free_bits r.idx
+  end;
   r.kind <- kind
+
+let[@inline] add_used t r delta =
+  r.used <- r.used + delta;
+  let k = kind_index r.kind in
+  t.kind_used.(k) <- t.kind_used.(k) + delta
+
+let set_live_bytes r bytes = r.live_bytes <- bytes
 
 let mb = 1024 * 1024
 
@@ -86,7 +99,9 @@ let create store ~heap_bytes ?(target_regions = 1024) () =
     region_size;
     regions;
     current_alloc = -1;
-    free_count = n;
+    kind_used = Array.make n_kinds 0;
+    kind_count =
+      Array.init n_kinds (fun k -> if k = kind_index Free then n else 0);
     free_bits;
     young_target_bytes = region_size;
     allocated_bytes = 0;
@@ -113,51 +128,31 @@ let region_of t id =
   if r < 0 then invalid_arg "Region_heap.region_of: object not in a region"
   else t.regions.(r)
 
-let count_kind t k =
-  if is_free_kind k then t.free_count
-  else
-    Array.fold_left
-      (fun acc r -> if kind_eq r.kind k then acc + 1 else acc)
-      0 t.regions
+let count_kind t k = t.kind_count.(kind_index k)
 
-let used_of_kind t k =
-  Array.fold_left
-    (fun acc r -> if kind_eq r.kind k then acc + r.used else acc)
-    0 t.regions
+let used_of_kind t k = t.kind_used.(kind_index k)
 
-(* The two occupancy sums the G1 collector reads around every pause —
-   eden+survivor and old+humongous — each fold the region table once
-   here instead of once per kind (integer sums, so the grouping is
-   exact either way). *)
-let used_young t =
-  Array.fold_left
-    (fun acc r ->
-      match r.kind with
-      | Eden | Survivor -> acc + r.used
-      | Free | Old_region | Humongous -> acc)
-    0 t.regions
+let used_young t = used_of_kind t Eden + used_of_kind t Survivor
 
-let used_old_hum t =
-  Array.fold_left
-    (fun acc r ->
-      match r.kind with
-      | Old_region | Humongous -> acc + r.used
-      | Free | Eden | Survivor -> acc)
-    0 t.regions
+let used_old_hum t = used_of_kind t Old_region + used_of_kind t Humongous
 
-let free_regions t = t.free_count
+let free_regions t = count_kind t Free
 
-let heap_used t = Array.fold_left (fun acc r -> acc + r.used) 0 t.regions
+(* Read on every allocation by the pauseless collectors: an unrolled
+   sum, not a closure call per kind. *)
+let heap_used t =
+  let u = t.kind_used in
+  u.(0) + u.(1) + u.(2) + u.(3) + u.(4)
 
 let take_free_region t kind =
-  if t.free_count = 0 then None
+  if free_regions t = 0 then None
   else begin
     let i = Bitset.next_set t.free_bits 0 in
     if i < 0 then None
     else begin
       let r = t.regions.(i) in
+      add_used t r (-r.used);
       set_kind t r kind;
-      r.used <- 0;
       r.live_bytes <- 0;
       Some r
     end
@@ -167,7 +162,7 @@ let alloc_in_region t r ~size =
   if r.used + size > t.region_size then None
   else begin
     let id = Obj_store.alloc_region t.store ~size ~region:r.idx in
-    r.used <- r.used + size;
+    add_used t r size;
     Vec.push r.objects id;
     t.allocated_bytes <- t.allocated_bytes + size;
     Some id
@@ -223,7 +218,7 @@ let alloc_humongous t ~size =
         let r = t.regions.(i) in
         set_kind t r Humongous;
         let chunk = min !remaining t.region_size in
-        r.used <- chunk;
+        add_used t r (chunk - r.used);
         r.live_bytes <- chunk;
         remaining := !remaining - chunk
       done;
@@ -241,8 +236,8 @@ let release_humongous t id =
         let r = t.regions.(i) in
         Vec.clear r.objects;
         Hashtbl.reset r.remset;
+        add_used t r (-r.used);
         set_kind t r Free;
-        r.used <- 0;
         r.live_bytes <- 0;
         r.hum_len <- 0
       done;
@@ -267,8 +262,8 @@ let compact_region_objects t r =
 let retire_region t r =
   Vec.clear r.objects;
   Hashtbl.reset r.remset;
+  add_used t r (-r.used);
   set_kind t r Free;
-  r.used <- 0;
   r.live_bytes <- 0;
   r.hum_len <- 0;
   if t.current_alloc = r.idx then t.current_alloc <- -1
@@ -324,16 +319,31 @@ let check_invariants t =
   | Some e -> Error e
   | None ->
       let bad = ref None in
-      let actual_free =
-        Array.fold_left
-          (fun acc r -> if is_free_kind r.kind then acc + 1 else acc)
-          0 t.regions
-      in
-      if actual_free <> t.free_count then
-        bad :=
-          Some
-            (Printf.sprintf "free_count drift: tracked %d actual %d"
-               t.free_count actual_free);
+      (* The per-kind counters against a fresh fold over the table. *)
+      let used = Array.make n_kinds 0 and count = Array.make n_kinds 0 in
+      Array.iter
+        (fun r ->
+          let k = kind_index r.kind in
+          used.(k) <- used.(k) + r.used;
+          count.(k) <- count.(k) + 1)
+        t.regions;
+      for k = n_kinds - 1 downto 0 do
+        if count.(k) <> t.kind_count.(k) then
+          bad :=
+            Some
+              (Printf.sprintf "kind %d count drift: tracked %d actual %d" k
+                 t.kind_count.(k) count.(k))
+        else if used.(k) <> t.kind_used.(k) then
+          bad :=
+            Some
+              (Printf.sprintf "kind %d used drift: tracked %d actual %d" k
+                 t.kind_used.(k) used.(k))
+      done;
+      Array.iteri
+        (fun i r ->
+          if !bad = None && Bitset.mem t.free_bits i <> is_free_kind r.kind
+          then bad := Some (Printf.sprintf "free bit of region %d drifted" i))
+        t.regions;
       Array.iteri
         (fun i r ->
           if !bad = None then begin

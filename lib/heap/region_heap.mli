@@ -8,7 +8,7 @@
 
 type region_kind = Free | Eden | Survivor | Old_region | Humongous
 
-type region = {
+type region = private {
   idx : int;
   mutable kind : region_kind;
   mutable used : int;
@@ -29,9 +29,11 @@ type t = {
   region_size : int;
   regions : region array;
   mutable current_alloc : int;  (** region currently bump-allocated, or -1 *)
-  mutable free_count : int;
-      (** number of [Free] regions, maintained incrementally so
-          {!free_regions} is O(1) on the allocation path *)
+  kind_used : int array;
+      (** sum of [used] over the regions of each kind, indexed by kind in
+          declaration order; maintained by {!set_kind} and {!add_used} *)
+  kind_count : int array;
+      (** number of regions of each kind, indexed like [kind_used] *)
   free_bits : Gcperf_util.Bitset.t;
       (** membership mirror of the [Free] regions; the allocator's
           lowest-index find-first is a word scan, not a table walk *)
@@ -46,19 +48,34 @@ val create : Obj_store.t -> heap_bytes:int -> ?target_regions:int -> unit -> t
 (** Region size is [heap_bytes / target_regions] (default 1024 regions),
     clamped to HotSpot's 1 MB - 32 MB range. *)
 
+val set_kind : t -> region -> region_kind -> unit
+(** Changes a region's role, moving its [used] bytes between the
+    per-kind counters.  With {!add_used}, the only writer of a region's
+    [kind] and [used]. *)
+
+val add_used : t -> region -> int -> unit
+(** [add_used t r delta] adds [delta] bytes to [r.used] and to the
+    counter of [r]'s kind. *)
+
+val set_live_bytes : region -> int -> unit
+(** Records the liveness estimate of the last concurrent marking. *)
+
 val region_of : t -> int -> region
 (** The region holding the object with the given id.
     @raise Invalid_argument if the object is not region-allocated. *)
+
+(** The occupancy reads below are O(1): they read the per-kind
+    counters, which always equal a fold over the region table. *)
 
 val count_kind : t -> region_kind -> int
 
 val used_of_kind : t -> region_kind -> int
 
 val used_young : t -> int
-(** Eden plus survivor occupancy, in one pass over the region table. *)
+(** Eden plus survivor occupancy. *)
 
 val used_old_hum : t -> int
-(** Old plus humongous occupancy, in one pass over the region table. *)
+(** Old plus humongous occupancy. *)
 
 val free_regions : t -> int
 
@@ -120,4 +137,5 @@ val young_regions : t -> region list
 
 val check_invariants : t -> (unit, string) result
 (** Region accounting matches object locations; regions' used bytes do not
-    exceed the region size; free regions are empty. *)
+    exceed the region size; free regions are empty; the per-kind counters
+    and the free bitset agree with a fresh fold over the region table. *)

@@ -378,6 +378,70 @@ let test_g1_young_collections_bounded () =
   Alcotest.(check bool) "young collections happened" true
     (d.Gcperf_gc.Gc_g1.young_collections >= 2)
 
+(* --- debug probes: per collector, never pinning a heap ---------------- *)
+
+(* Each collector answers [debug_stats] from its own probe: a second
+   collector of the same kind created later must not shadow the first. *)
+let test_probe_g1_per_collector () =
+  let vm1 = Vm.create machine (small_config Gc_config.G1) ~seed:14 in
+  let vm2 = Vm.create machine (small_config Gc_config.G1) ~seed:14 in
+  let th = Vm.spawn_thread vm1 in
+  for _ = 1 to 200 do
+    ignore (Vm.alloc vm1 th ~size:(256 * 1024) ~lifetime:(`Bytes (64 * 1024)));
+    Vm.step vm1 ~dt_us:500.0 (fun _ -> ())
+  done;
+  let young vm =
+    (Gcperf_gc.Gc_g1.debug_stats (Vm.collector vm))
+      .Gcperf_gc.Gc_g1.young_collections
+  in
+  Alcotest.(check bool) "first VM reports its collections" true (young vm1 >= 2);
+  Alcotest.(check int) "second VM collected nothing" 0 (young vm2)
+
+let test_probe_cms_per_collector () =
+  let vm1 = Vm.create machine (small_config Gc_config.Cms) ~seed:9 in
+  let vm2 = Vm.create machine (small_config Gc_config.Cms) ~seed:9 in
+  let th = Vm.spawn_thread vm1 in
+  for _ = 1 to 100 do
+    ignore (Vm.alloc vm1 th ~size:(512 * 1024) ~lifetime:`Permanent)
+  done;
+  for _ = 1 to 400 do
+    ignore (Vm.alloc vm1 th ~size:(256 * 1024) ~lifetime:(`Bytes (64 * 1024)));
+    Vm.step vm1 ~dt_us:2000.0 (fun _ -> ())
+  done;
+  let cycles vm =
+    (Gcperf_gc.Gc_cms.debug_stats (Vm.collector vm))
+      .Gcperf_gc.Gc_cms.cycles_started
+  in
+  Alcotest.(check bool) "first VM reports its cycles" true (cycles vm1 >= 1);
+  Alcotest.(check int) "second VM started none" 0 (cycles vm2);
+  Alcotest.check_raises "not a G1 collector"
+    (Invalid_argument "Gc_g1.debug_stats: not a G1 collector") (fun () ->
+      ignore (Gcperf_gc.Gc_g1.debug_stats (Vm.collector vm1)))
+
+(* Runs a VM, collects in it, and lets it go; only its store escapes,
+   through the weak array. *)
+let[@inline never] run_and_drop kind weak i =
+  let vm = Vm.create machine (small_config kind) ~seed:3 in
+  let th = Vm.spawn_thread vm in
+  for _ = 1 to 50 do
+    ignore (Vm.alloc vm th ~size:(256 * 1024) ~lifetime:(`Bytes (64 * 1024)));
+    Vm.step vm ~dt_us:500.0 (fun _ -> ())
+  done;
+  Vm.system_gc vm;
+  Weak.set weak i (Some (Vm.collector vm).Gcperf_gc.Collector.store)
+
+let test_dropped_vm_released () =
+  let kinds = Gc_config.extended_kinds in
+  let weak = Weak.create (List.length kinds) in
+  List.iteri (fun i kind -> run_and_drop kind weak i) kinds;
+  Gc.full_major ();
+  List.iteri
+    (fun i kind ->
+      Alcotest.(check bool)
+        (Gc_config.kind_to_string kind ^ " store released")
+        false (Weak.check weak i))
+    kinds
+
 (* --- hot-path data structures (remembered set, epoch marks) ----------- *)
 
 module Gh = Gcperf_heap.Gen_heap
@@ -673,6 +737,15 @@ let () =
             test_g1_young_collections_bounded;
           Alcotest.test_case "evacuation failure accounting" `Quick
             test_g1_evacuation_failure_accounting;
+        ] );
+      ( "probes",
+        [
+          Alcotest.test_case "g1 stats per collector" `Quick
+            test_probe_g1_per_collector;
+          Alcotest.test_case "cms stats per collector" `Quick
+            test_probe_cms_per_collector;
+          Alcotest.test_case "dropped VMs are released" `Quick
+            test_dropped_vm_released;
         ] );
       ( "hot-path structures",
         [

@@ -489,15 +489,18 @@ let test_region_humongous_contiguous () =
   let _, r = make_region () in
   (* Claim regions 0 and 2, leaving a 1-region hole at 1: a 2-region
      humongous group must skip the hole. *)
-  r.Rh.regions.(0).Rh.kind <- Rh.Old_region;
-  r.Rh.regions.(2).Rh.kind <- Rh.Old_region;
+  Rh.set_kind r r.Rh.regions.(0) Rh.Old_region;
+  Rh.set_kind r r.Rh.regions.(2) Rh.Old_region;
+  Alcotest.(check int) "holes leave the free pool" 62 (Rh.free_regions r);
   let id = Option.get (Rh.alloc_humongous r ~size:(2 * mb)) in
   (match Os.loc r.Rh.store id with
   | Os.Region idx ->
       Alcotest.(check bool) "starts after the hole" true (idx >= 3)
   | _ -> Alcotest.fail "not region-allocated");
-  r.Rh.regions.(0).Rh.kind <- Rh.Free;
-  r.Rh.regions.(2).Rh.kind <- Rh.Free
+  Rh.set_kind r r.Rh.regions.(0) Rh.Free;
+  Rh.set_kind r r.Rh.regions.(2) Rh.Free;
+  Alcotest.(check bool) "invariants after the holes close" true
+    (Result.is_ok (Rh.check_invariants r))
 
 let test_region_remset () =
   let s, r = make_region () in
@@ -550,6 +553,120 @@ let prop_region_invariants =
         sizes;
       Result.is_ok (Rh.check_invariants r))
 
+(* The per-kind occupancy counters against reference folds over the
+   region table, after every step of a long random operation sequence
+   (every writer of a region's [kind] and [used] is exercised, including
+   the [add_used] moves an evacuation plan makes). *)
+let prop_region_counters =
+  let kinds = [| Rh.Free; Rh.Eden; Rh.Survivor; Rh.Old_region; Rh.Humongous |] in
+  let fold t pred =
+    Array.fold_left
+      (fun acc r -> if pred r.Rh.kind then acc + r.Rh.used else acc)
+      0 t.Rh.regions
+  in
+  let counters_exact t =
+    fold t (fun _ -> true) = Rh.heap_used t
+    && fold t (function Rh.Eden | Rh.Survivor -> true | _ -> false)
+       = Rh.used_young t
+    && fold t (function Rh.Old_region | Rh.Humongous -> true | _ -> false)
+       = Rh.used_old_hum t
+    && Array.for_all
+         (fun k ->
+           fold t (fun k' -> k' = k) = Rh.used_of_kind t k
+           && Array.fold_left
+                (fun acc r -> if r.Rh.kind = k then acc + 1 else acc)
+                0 t.Rh.regions
+              = Rh.count_kind t k)
+         kinds
+    && Rh.count_kind t Rh.Free = Rh.free_regions t
+    && Result.is_ok (Rh.check_invariants t)
+  in
+  let op = QCheck.Gen.(triple (int_bound 8) (int_bound 1023) (int_bound 4095)) in
+  QCheck.Test.make ~name:"region occupancy counters equal reference folds"
+    ~count:20
+    (QCheck.make
+       ~print:(fun ops -> Printf.sprintf "<%d operations>" (List.length ops))
+       QCheck.Gen.(int_range 1000 1400 >>= fun n -> list_repeat n op))
+    (fun ops ->
+      let s = Os.create () in
+      let t = Rh.create s ~heap_bytes:(32 * mb) ~target_regions:32 () in
+      let n = Array.length t.Rh.regions in
+      let humongous = ref [] in
+      (* The [pick]-th region satisfying [pred], scanning from [pick]. *)
+      let find pick pred =
+        let rec go i =
+          if i = n then None
+          else
+            let r = t.Rh.regions.((pick + i) mod n) in
+            if pred r.Rh.kind then Some r else go (i + 1)
+        in
+        go 0
+      in
+      let small = function
+        | Rh.Eden | Rh.Survivor | Rh.Old_region -> true
+        | Rh.Free | Rh.Humongous -> false
+      in
+      let size_of x = 1 + (x * 97) in
+      let step (code, pick, x) =
+        match code with
+        | 0 | 1 -> ignore (Rh.alloc_young t ~size:(size_of x))
+        | 2 -> (
+            match find pick small with
+            | Some r -> ignore (Rh.alloc_in_region t r ~size:(size_of x))
+            | None -> ())
+        | 3 -> ignore (Rh.take_free_region t kinds.(1 + (x mod 3)))
+        | 4 -> (
+            if x mod 2 = 0 then
+              match Rh.alloc_humongous t ~size:(mb / 2 + 1 + (x * 700)) with
+              | Some id -> humongous := id :: !humongous
+              | None -> ()
+            else
+              match !humongous with
+              | id :: rest ->
+                  Rh.release_humongous t id;
+                  humongous := rest
+              | [] -> ())
+        | 5 -> Option.iter (Rh.release_region t) (find pick small)
+        | 6 -> (
+            (* A compaction that emptied the region before retiring it. *)
+            match find pick small with
+            | Some r ->
+                Vec.iter
+                  (fun id -> if Os.in_region s id r.Rh.idx then Os.free s id)
+                  r.Rh.objects;
+                Rh.retire_region t r
+            | None -> ())
+        | 7 -> (
+            (* A role change of an occupied region moves its bytes. *)
+            match find pick small with
+            | Some r -> Rh.set_kind t r kinds.(1 + (x mod 3))
+            | None -> ())
+        | _ -> (
+            (* An evacuation move: one object to another small region. *)
+            match (find pick small, find (pick + 1 + x) small) with
+            | Some src, Some dst when src.Rh.idx <> dst.Rh.idx -> (
+                let live = ref None in
+                Vec.iter
+                  (fun id ->
+                    if Os.in_region s id src.Rh.idx then live := Some id)
+                  src.Rh.objects;
+                match !live with
+                | Some id
+                  when dst.Rh.used + Os.size s id <= t.Rh.region_size ->
+                    let size = Os.size s id in
+                    Rh.add_used t src (-size);
+                    Rh.add_used t dst size;
+                    Os.set_loc s id (Os.Region dst.Rh.idx);
+                    Vec.push dst.Rh.objects id
+                | Some _ | None -> ())
+            | _ -> ())
+      in
+      List.for_all
+        (fun o ->
+          step o;
+          counters_exact t)
+        ops)
+
 let () =
   Alcotest.run "heap"
     [
@@ -585,5 +702,6 @@ let () =
           Alcotest.test_case "remset" `Quick test_region_remset;
           Alcotest.test_case "release" `Quick test_region_release;
           QCheck_alcotest.to_alcotest prop_region_invariants;
+          QCheck_alcotest.to_alcotest prop_region_counters;
         ] );
     ]
