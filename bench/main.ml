@@ -148,6 +148,47 @@ let move_kernel_test =
          Array.iter (fun id -> Os.plan_push_old s id ~age:3) ids;
          ignore (Os.finish_relocate s)))
 
+(* The VM death queue: each run allocates 300 thread-rooted objects with
+   [`Bytes] lifetimes spread over the run's own allocation, then steps
+   once, which drops the roots that fell due.  About 300 deaths stay
+   pending, the queue size of a dacapo-ladder rung. *)
+let death_queue_test =
+  let vm, th = vm_for Gc_config.ParallelOld in
+  Test.make ~name:"death-queue-drain"
+    (Staged.stage (fun () ->
+         for i = 1 to 300 do
+           ignore
+             (Vm.alloc vm th ~size:1024
+                ~lifetime:(`Bytes (1024 * ((i * 7) mod 300))))
+         done;
+         Vm.step vm ~dt_us:100.0 (fun _ -> ())))
+
+(* A client-session event queue: 100k events pushed at times drawn over
+   a 1 s window in microseconds, so some keys tie, then drained in key
+   order.  The queue is reused, so runs measure the grown steady state. *)
+let heapq_session_test =
+  let module Heapq = Gcperf_util.Heapq in
+  let n = 100_000 in
+  let payloads = Array.init n (fun i -> ref i) in
+  let keys =
+    let state = ref 5 in
+    Array.init n (fun _ ->
+        state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+        !state mod 1_000_000)
+  in
+  let q = Heapq.create ~capacity:n () in
+  Test.make ~name:"heapq-session-100k"
+    (Staged.stage (fun () ->
+         for i = 0 to n - 1 do
+           Heapq.push q keys.(i) payloads.(i)
+         done;
+         let sum = ref 0 in
+         while not (Heapq.is_empty q) do
+           sum := !sum + Heapq.top_key q + !(Heapq.top q);
+           Heapq.remove_min q
+         done;
+         ignore (Sys.opaque_identity !sum)))
+
 let micro_tests =
   [
     Test.make ~name:"alloc-tlab"
@@ -252,6 +293,8 @@ let micro_tests =
        Staged.stage (fun () -> ignore (Gcperf_stats.Stats.latency_report pts)));
     trace_kernel_test;
     move_kernel_test;
+    death_queue_test;
+    heapq_session_test;
   ]
 
 (* --- policy: adaptive sizing overhead --------------------------------- *)

@@ -322,13 +322,36 @@ let run c ~ring ~nodes ~seed =
   if Array.length nodes <> Ring.nodes ring then
     invalid_arg "Coordinator.run: one Node.t per ring node required";
   let r = Session.Resilience.client c.resilience in
+  let prng = Prng.create seed in
+  let w = c.workload in
+  (* Open-loop Poisson arrivals: the aggregate stream of the client
+     population.  Generated up front, so the arrival schedule is fixed
+     before any event-order draws happen. *)
+  let reqs = Vec.create () in
+  let t = ref 0.0 in
+  let continue = ref true in
+  while !continue do
+    t := !t +. Prng.exponential prng (1.0 /. w.Client.ops_per_s);
+    if !t < w.Client.duration_s then
+      Vec.push reqs
+        {
+          arrival_s = !t;
+          kind =
+            (if Prng.chance prng w.Client.read_frac then Client.Read
+             else Client.Update);
+          pending_subs = 0;
+          crossed = false;
+          failed = false;
+        }
+    else continue := false
+  done;
   let sess =
     {
       c;
       ring;
       nodes;
-      prng = Prng.create seed;
-      heap = Heapq.create ();
+      prng;
+      heap = Heapq.create ~capacity:(Vec.length reqs) ();
       latencies = Histogram.create ();
       timeout_ms = r.Gcperf_ycsb.Resilient.timeout_ms;
       hedge_ms = r.Gcperf_ycsb.Resilient.hedge_ms;
@@ -348,39 +371,15 @@ let run c ~ring ~nodes ~seed =
       max_inflight = 0;
     }
   in
-  let w = c.workload in
-  (* Open-loop Poisson arrivals: the aggregate stream of the client
-     population.  Generated up front, so the arrival schedule is fixed
-     before any event-order draws happen. *)
-  let reqs = Vec.create () in
-  let t = ref 0.0 in
-  let continue = ref true in
-  while !continue do
-    t := !t +. Prng.exponential sess.prng (1.0 /. w.Client.ops_per_s);
-    if !t < w.Client.duration_s then
-      Vec.push reqs
-        {
-          arrival_s = !t;
-          kind =
-            (if Prng.chance sess.prng w.Client.read_frac then Client.Read
-             else Client.Update);
-          pending_subs = 0;
-          crossed = false;
-          failed = false;
-        }
-    else continue := false
-  done;
   Vec.iter
     (fun req -> Heapq.push sess.heap (us req.arrival_s) (Start req))
     reqs;
-  let rec drain () =
-    match Heapq.pop sess.heap with
-    | None -> ()
-    | Some (t_us, ev) ->
-        process sess ev (float_of_int t_us /. 1e6);
-        drain ()
-  in
-  drain ();
+  let q = sess.heap in
+  while not (Heapq.is_empty q) do
+    let t_us = Heapq.top_key q and ev = Heapq.top q in
+    Heapq.remove_min q;
+    process sess ev (float_of_int t_us /. 1e6)
+  done;
   let requests = Vec.length reqs in
   let sheds =
     Array.fold_left

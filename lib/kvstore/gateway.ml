@@ -46,7 +46,7 @@ type t = {
 let us s = int_of_float (s *. 1e6)
 
 let create config ~pauses =
-  let slots = Heapq.create () in
+  let slots = Heapq.create ~capacity:(max 1 config.servers) () in
   for _ = 1 to max 1 config.servers do
     Heapq.push slots 0 ()
   done;
@@ -98,14 +98,10 @@ let stretch t start_s dur_s =
   !finish
 
 let retire_started t now_us =
-  let rec loop () =
-    match Heapq.min_key t.pending with
-    | Some k when k <= now_us ->
-        ignore (Heapq.pop t.pending);
-        loop ()
-    | _ -> ()
-  in
-  loop ()
+  let q = t.pending in
+  while (not (Heapq.is_empty q)) && Heapq.top_key q <= now_us do
+    Heapq.remove_min q
+  done
 
 let queue_length t ~now_s =
   retire_started t (us now_s);
@@ -126,11 +122,10 @@ let offer t ~now_s ~service_ms =
     Shed
   end
   else begin
-    let free_us =
-      match Heapq.pop t.slots with
-      | Some (k, ()) -> k
-      | None -> assert false
-    in
+    (* [create] pushes at least one slot and every pop is matched by a
+       push, so the slot queue is never empty here. *)
+    let free_us = Heapq.top_key t.slots in
+    Heapq.remove_min t.slots;
     let start_s =
       skip_pauses t (Float.max now_s (float_of_int free_us /. 1e6))
     in

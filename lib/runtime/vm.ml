@@ -1,7 +1,7 @@
 module Vec = Gcperf_util.Vec
 module Int_table = Gcperf_util.Int_table
 module Prng = Gcperf_util.Prng
-module Heapq = Gcperf_util.Heapq
+module Int_heap = Gcperf_util.Int_heap
 module Machine = Gcperf_machine.Machine
 module Clock = Gcperf_sim.Clock
 module Gc_event = Gcperf_sim.Gc_event
@@ -27,8 +27,6 @@ type thread = {
   mutable quantum_bytes : int;
 }
 
-type owner = Thread_root of int | Global_root
-
 type t = {
   machine : Machine.t;
   config : Gc_config.t;
@@ -41,7 +39,10 @@ type t = {
   alloc_fn : size:int -> int;
   threads : thread Vec.t;
   globals : Int_table.t;
-  deaths : (owner * int) Heapq.t;  (* keyed by cumulative allocated bytes *)
+  (* Keyed by the cumulative allocated bytes at which the root is
+     dropped; payloads are the object id and its owner, a tid or
+     [global_owner]. *)
+  deaths : Int_heap.t;
   prng : Prng.t;
   mutable allocated : int;
 }
@@ -64,7 +65,7 @@ let create ?telemetry machine config ~seed =
       alloc_fn = collector.Collector.alloc;
       threads = Vec.create ();
       globals = Int_table.create 64;
-      deaths = Heapq.create ();
+      deaths = Int_heap.create ();
       prng = Prng.create seed;
       allocated = 0;
     }
@@ -114,21 +115,15 @@ let threads t =
   Vec.fold (fun acc th -> if th.live then th :: acc else acc) [] t.threads
   |> List.rev
 
-(* The [owner] value is built inside the [`Bytes] arm: constructing a
-   [Thread_root] block for a [`Permanent] allocation (the hot case)
-   would cost a heap allocation that the match immediately discards. *)
-let[@inline] register_thread_death t tid id lifetime =
-  match lifetime with
-  | `Permanent -> ()
-  | `Bytes b ->
-      Heapq.push t.deaths (t.allocated + max 1 b) (Thread_root tid, id)
+let global_owner = -1
 
-let[@inline] register_global_death t id lifetime =
-  match lifetime with
-  | `Permanent -> ()
-  | `Bytes b -> Heapq.push t.deaths (t.allocated + max 1 b) (Global_root, id)
+let[@inline] push_death t owner id bytes =
+  Int_heap.push t.deaths (t.allocated + max 1 bytes) id owner
 
-let[@inline] alloc t th ~size ~lifetime =
+let[@inline] register_death t owner id lifetime =
+  match lifetime with `Permanent -> () | `Bytes b -> push_death t owner id b
+
+let[@inline] alloc_rooted t th ~size =
   let id = t.alloc_fn ~size in
   t.allocated <- t.allocated + size;
   th.quantum_allocs <- th.quantum_allocs + 1;
@@ -138,21 +133,30 @@ let[@inline] alloc t th ~size ~lifetime =
      at the bucket head is where [replace] would have put a new key too,
      so the table's iteration order is unchanged. *)
   Int_table.add th.roots id;
-  register_thread_death t th.tid id lifetime;
+  id
+
+let[@inline] alloc t th ~size ~lifetime =
+  let id = alloc_rooted t th ~size in
+  register_death t th.tid id lifetime;
+  id
+
+let alloc_dying t th ~size ~bytes =
+  let id = alloc_rooted t th ~size in
+  push_death t th.tid id bytes;
   id
 
 let alloc_global t ~size ~lifetime =
   let id = t.collector.Collector.alloc ~size in
   t.allocated <- t.allocated + size;
   Int_table.add t.globals id;
-  register_global_death t id lifetime;
+  register_death t global_owner id lifetime;
   id
 
 let alloc_old_global t ~size ~lifetime =
   let id = t.collector.Collector.alloc_old ~size in
   t.allocated <- t.allocated + size;
   Int_table.add t.globals id;
-  register_global_death t id lifetime;
+  register_death t global_owner id lifetime;
   id
 
 let add_ref t ~parent ~child = t.collector.Collector.write_ref ~parent ~child
@@ -166,21 +170,17 @@ let drop_global_root t id = Int_table.remove t.globals id
 
 let global_root t id = Int_table.replace t.globals id
 
-let rec process_deaths t =
-  (* Drain due entries straight off the queue (same key order as the old
-     pop_until, without materialising an intermediate list). *)
-  match Heapq.min_key t.deaths with
-  | Some key when key <= t.allocated ->
-      (match Heapq.pop t.deaths with
-      | Some (_key, (owner, id)) -> (
-          match owner with
-          | Global_root -> Int_table.remove t.globals id
-          | Thread_root tid ->
-              let th = Vec.get t.threads tid in
-              if th.live then Int_table.remove th.roots id)
-      | None -> ());
-      process_deaths t
-  | Some _ | None -> ()
+let process_deaths t =
+  let q = t.deaths in
+  while (not (Int_heap.is_empty q)) && Int_heap.top_key q <= t.allocated do
+    let id = Int_heap.top_a q and owner = Int_heap.top_b q in
+    Int_heap.remove_min q;
+    if owner = global_owner then Int_table.remove t.globals id
+    else begin
+      let th = Vec.get t.threads owner in
+      if th.live then Int_table.remove th.roots id
+    end
+  done
 
 let step t ~dt_us f =
   let n_live = ref 0 in

@@ -70,6 +70,11 @@ val alloc : t -> thread -> size:int -> lifetime:lifetime -> int
     number of collections (advancing the clock) before returning.
     @raise Gcperf_gc.Gc_ctx.Out_of_memory if the heap cannot fit it. *)
 
+val alloc_dying : t -> thread -> size:int -> bytes:int -> int
+(** [alloc_dying t th ~size ~bytes] is [alloc t th ~size ~lifetime:(`Bytes
+    bytes)] without building the lifetime block: the mutator's
+    per-object path. *)
+
 val alloc_global : t -> size:int -> lifetime:lifetime -> int
 (** Allocates an object rooted in the VM's global root set. *)
 

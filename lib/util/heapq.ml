@@ -1,70 +1,116 @@
-type 'a entry = { key : int; payload : 'a }
+(* Struct-of-arrays: an unboxed key column beside a payload column, so a
+   push stores two words and allocates nothing once the columns have
+   grown.  Payloads are kept as [Obj.t] so that a vacated slot can be
+   reset to an immediate, which lets the GC reclaim a popped payload; an
+   ['a array] would need some ['a] to fill it with.  The column is
+   created from an immediate, so it is never a flat float array, and a
+   payload round-trips through [Obj.repr]/[Obj.obj] unchanged. *)
+type 'a t = {
+  mutable keys : int array;
+  mutable vals : Obj.t array;
+  mutable len : int;
+}
 
-type 'a t = { heap : 'a entry Vec.t }
+let vacant = Obj.repr 0
 
-let create () = { heap = Vec.create () }
+(* Columns come in powers of two, the sizes doubling produces, even when
+   pre-sized: the columns a finished session frees are then the size the
+   next session asks for, and the allocator reuses them instead of
+   growing the process. *)
+let rec pow2_above c n = if c >= n then c else pow2_above (2 * c) n
 
-let length q = Vec.length q.heap
+let create ?(capacity = 0) () =
+  let n = if capacity <= 0 then 0 else pow2_above 16 capacity in
+  { keys = Array.make n 0; vals = Array.make n vacant; len = 0 }
 
-let is_empty q = Vec.is_empty q.heap
+let[@inline] length q = q.len
 
-let swap q i j =
-  let a = Vec.get q.heap i and b = Vec.get q.heap j in
-  Vec.set q.heap i b;
-  Vec.set q.heap j a
+let[@inline] is_empty q = q.len = 0
 
-let rec sift_up q i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if (Vec.get q.heap i).key < (Vec.get q.heap parent).key then begin
-      swap q i parent;
-      sift_up q parent
-    end
-  end
+let[@inline never] grow q =
+  let cap = Array.length q.keys in
+  let ncap = if cap = 0 then 16 else 2 * cap in
+  let keys = Array.make ncap 0 and vals = Array.make ncap vacant in
+  Array.blit q.keys 0 keys 0 q.len;
+  Array.blit q.vals 0 vals 0 q.len;
+  q.keys <- keys;
+  q.vals <- vals
 
-let rec sift_down q i =
-  let n = Vec.length q.heap in
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < n && (Vec.get q.heap l).key < (Vec.get q.heap !smallest).key then
-    smallest := l;
-  if r < n && (Vec.get q.heap r).key < (Vec.get q.heap !smallest).key then
-    smallest := r;
-  if !smallest <> i then begin
-    swap q i !smallest;
-    sift_down q !smallest
-  end
-
+(* The sifts move a hole, as [Int_heap]'s do: the same entries move as in
+   a swap-based sift with strict [<], left child before right and the
+   last entry refilling the root, so equal keys leave in that heap's
+   order. *)
 let push q key payload =
-  Vec.push q.heap { key; payload };
-  sift_up q (Vec.length q.heap - 1)
+  if q.len = Array.length q.keys then grow q;
+  let keys = q.keys and vals = q.vals in
+  let i = ref q.len in
+  q.len <- q.len + 1;
+  let moving = ref true in
+  while !moving && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let kp = Array.unsafe_get keys p in
+    if key < kp then begin
+      Array.unsafe_set keys !i kp;
+      Array.unsafe_set vals !i (Array.unsafe_get vals p);
+      i := p
+    end
+    else moving := false
+  done;
+  Array.unsafe_set keys !i key;
+  Array.unsafe_set vals !i (Obj.repr payload)
 
-let min_key q =
-  if is_empty q then None else Some (Vec.get q.heap 0).key
+let[@inline] check_nonempty q =
+  if q.len = 0 then invalid_arg "Heapq: empty"
+
+let[@inline] top_key q =
+  check_nonempty q;
+  Array.unsafe_get q.keys 0
+
+let[@inline] top q =
+  check_nonempty q;
+  Obj.obj (Array.unsafe_get q.vals 0)
+
+let remove_min q =
+  check_nonempty q;
+  let n = q.len - 1 in
+  q.len <- n;
+  let keys = q.keys and vals = q.vals in
+  let key = Array.unsafe_get keys n and v = Array.unsafe_get vals n in
+  Array.unsafe_set vals n vacant;
+  if n > 0 then begin
+    let i = ref 0 in
+    let moving = ref true in
+    while !moving do
+      let l = (2 * !i) + 1 in
+      if l >= n then moving := false
+      else begin
+        let kl = Array.unsafe_get keys l in
+        let m = if kl < key then l else !i in
+        let km = if kl < key then kl else key in
+        let r = l + 1 in
+        let m = if r < n && Array.unsafe_get keys r < km then r else m in
+        if m = !i then moving := false
+        else begin
+          Array.unsafe_set keys !i (Array.unsafe_get keys m);
+          Array.unsafe_set vals !i (Array.unsafe_get vals m);
+          i := m
+        end
+      end
+    done;
+    Array.unsafe_set keys !i key;
+    Array.unsafe_set vals !i v
+  end
+
+let min_key q = if is_empty q then None else Some (top_key q)
 
 let pop q =
   if is_empty q then None
   else begin
-    let e = Vec.get q.heap 0 in
-    let last = Vec.pop q.heap in
-    if not (is_empty q) then begin
-      Vec.set q.heap 0 last;
-      sift_down q 0
-    end;
-    Some (e.key, e.payload)
+    let key = top_key q and payload = top q in
+    remove_min q;
+    Some (key, payload)
   end
 
-let pop_until q limit =
-  let rec loop acc =
-    match min_key q with
-    | Some k when k <= limit -> (
-        match pop q with
-        | Some (key, payload) -> loop ((key, payload) :: acc)
-        | None -> acc)
-    | _ -> acc
-  in
-  List.rev (loop [])
-
-let clear q = Vec.clear q.heap
-
-let iter f q = Vec.iter (fun e -> f e.key e.payload) q.heap
+let clear q =
+  Array.fill q.vals 0 q.len vacant;
+  q.len <- 0

@@ -81,7 +81,7 @@ let shuffle t a =
     a.(j) <- tmp
   done
 
-let exponential t mean =
+let[@inline] exponential t mean =
   let u = 1.0 -. unit_float t in
   -. mean *. log u
 
@@ -89,12 +89,12 @@ let pareto t ~shape ~scale =
   let u = 1.0 -. unit_float t in
   scale /. (u ** (1.0 /. shape))
 
-let gaussian t ~mean ~stddev =
+let[@inline] gaussian t ~mean ~stddev =
   let u1 = 1.0 -. unit_float t and u2 = unit_float t in
   let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
   mean +. (stddev *. z)
 
-let lognormal t ~mu ~sigma = exp (gaussian t ~mean:mu ~stddev:sigma)
+let[@inline] lognormal t ~mu ~sigma = exp (gaussian t ~mean:mu ~stddev:sigma)
 
 (* Zipf sampling by rejection inversion (Hörmann & Derflinger 1996), as
    used in YCSB's ScrambledZipfianGenerator.  Valid for theta <> 1; we

@@ -127,42 +127,52 @@ let link_new_object t slot id =
     end
   end
 
-let sample_lifetime t =
+(* [sample_lifetime] returns an int code rather than a variant, so a
+   dying object's byte count is never boxed on its way to
+   [Vm.alloc_dying]: a count >= 1 for an object that dies after that
+   many bytes, or one of these two codes. *)
+let lifetime_iteration = -1
+let lifetime_permanent = -2
+
+let[@inline] sample_lifetime t =
   let l = t.profile.Profile.lifetime in
   let u = Prng.float t.prng 1.0 in
   if u < l.Profile.short_frac then
-    `Dies (int_of_float (Prng.exponential t.prng l.Profile.short_mean_bytes))
+    max 1 (int_of_float (Prng.exponential t.prng l.Profile.short_mean_bytes))
   else if u < l.Profile.short_frac +. l.Profile.medium_frac then
-    `Dies (int_of_float (Prng.exponential t.prng l.Profile.medium_mean_bytes))
+    max 1 (int_of_float (Prng.exponential t.prng l.Profile.medium_mean_bytes))
   else if
     u < l.Profile.short_frac +. l.Profile.medium_frac +. l.Profile.iteration_frac
-  then `Iteration
+  then lifetime_iteration
   else if
     u
     < l.Profile.short_frac +. l.Profile.medium_frac +. l.Profile.iteration_frac
       +. l.Profile.permanent_frac
-  then `Permanent
-  else `Dies (int_of_float (Prng.exponential t.prng l.Profile.short_mean_bytes))
+  then lifetime_permanent
+  else max 1 (int_of_float (Prng.exponential t.prng l.Profile.short_mean_bytes))
 
 let allocate_one t slot th size =
-  match sample_lifetime t with
-  | `Dies b ->
-      let id = Vm.alloc t.vm th ~size ~lifetime:(`Bytes (max 1 b)) in
-      remember_recent t slot id;
-      link_new_object t slot id
-  | `Iteration ->
-      let id = Vm.alloc t.vm th ~size ~lifetime:`Permanent in
-      Vec.push t.batch (slot, id);
-      remember_recent t slot id;
-      link_new_object t slot id
-  | `Permanent ->
-      let id = Vm.alloc t.vm th ~size ~lifetime:`Permanent in
-      (* Move the root from the thread to the global live set. *)
-      Vm.global_root t.vm id;
-      Vm.drop_root t.vm th id;
-      Ivec.push t.live_set id;
-      remember_recent t slot id;
-      link_new_object t slot id
+  let code = sample_lifetime t in
+  if code > 0 then begin
+    let id = Vm.alloc_dying t.vm th ~size ~bytes:code in
+    remember_recent t slot id;
+    link_new_object t slot id
+  end
+  else if code = lifetime_iteration then begin
+    let id = Vm.alloc t.vm th ~size ~lifetime:`Permanent in
+    Vec.push t.batch (slot, id);
+    remember_recent t slot id;
+    link_new_object t slot id
+  end
+  else begin
+    let id = Vm.alloc t.vm th ~size ~lifetime:`Permanent in
+    (* Move the root from the thread to the global live set. *)
+    Vm.global_root t.vm id;
+    Vm.drop_root t.vm th id;
+    Ivec.push t.live_set id;
+    remember_recent t slot id;
+    link_new_object t slot id
+  end
 
 let drop_batch t =
   Vec.iter

@@ -314,16 +314,41 @@ let run w ~profile ~resilience ~gateway ?telemetry ?(collector = "server")
   let telemetry =
     match telemetry with Some t -> t | None -> Telemetry.disabled ()
   in
+  let inj = Injector.create ~profile ~seed:(seed + 1) ~pauses in
+  let prng = Prng.create seed in
+  (* Arrivals: a Poisson process whose rate follows the injector's load
+     multiplier — the fault schedule warps the arrival stream itself
+     (retry storms from the rest of the client population). *)
+  let reqs = Vec.create () in
+  let t = ref 0.0 in
+  let continue = ref true in
+  while !continue do
+    let m = Injector.load_multiplier inj !t in
+    t := !t +. Prng.exponential prng (1.0 /. (w.Client.ops_per_s *. m));
+    if !t < w.Client.duration_s then
+      Vec.push reqs
+        {
+          arrival_s = !t;
+          kind =
+            (if Prng.chance prng w.Client.read_frac then Client.Read
+             else Client.Update);
+          attempts = 0;
+          done_ = false;
+          ok = false;
+          primary = No_primary;
+        }
+    else continue := false
+  done;
   let sess =
     {
       w;
       r = resilience;
-      inj = Injector.create ~profile ~seed:(seed + 1) ~pauses;
+      inj;
       gw = Gateway.create gateway ~pauses;
-      prng = Prng.create seed;
+      prng;
       telemetry;
       collector;
-      heap = Heapq.create ();
+      heap = Heapq.create ~capacity:(Vec.length reqs) ();
       latencies = Histogram.create ();
       attempts = 0;
       retries = 0;
@@ -336,29 +361,6 @@ let run w ~profile ~resilience ~gateway ?telemetry ?(collector = "server")
       hedge_wins = 0;
     }
   in
-  (* Arrivals: a Poisson process whose rate follows the injector's load
-     multiplier — the fault schedule warps the arrival stream itself
-     (retry storms from the rest of the client population). *)
-  let reqs = Vec.create () in
-  let t = ref 0.0 in
-  let continue = ref true in
-  while !continue do
-    let m = Injector.load_multiplier sess.inj !t in
-    t := !t +. Prng.exponential sess.prng (1.0 /. (w.Client.ops_per_s *. m));
-    if !t < w.Client.duration_s then
-      Vec.push reqs
-        {
-          arrival_s = !t;
-          kind =
-            (if Prng.chance sess.prng w.Client.read_frac then Client.Read
-             else Client.Update);
-          attempts = 0;
-          done_ = false;
-          ok = false;
-          primary = No_primary;
-        }
-    else continue := false
-  done;
   let requests = Vec.length reqs in
   sess.retry_budget <-
     int_of_float
@@ -366,14 +368,12 @@ let run w ~profile ~resilience ~gateway ?telemetry ?(collector = "server")
   Vec.iter
     (fun req -> Heapq.push sess.heap (us req.arrival_s) (Attempt (req, 1)))
     reqs;
-  let rec drain () =
-    match Heapq.pop sess.heap with
-    | None -> ()
-    | Some (t_us, ev) ->
-        process sess ~db_timeline ev (float_of_int t_us /. 1e6);
-        drain ()
-  in
-  drain ();
+  let q = sess.heap in
+  while not (Heapq.is_empty q) do
+    let t_us = Heapq.top_key q and ev = Heapq.top q in
+    Heapq.remove_min q;
+    process sess ~db_timeline ev (float_of_int t_us /. 1e6)
+  done;
   let count name n = Telemetry.incr telemetry name (float_of_int n) in
   count "faults.requests" requests;
   count "faults.attempts" sess.attempts;

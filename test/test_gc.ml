@@ -442,6 +442,99 @@ let test_dropped_vm_released () =
         false (Weak.check weak i))
     kinds
 
+(* --- death queue -------------------------------------------------------- *)
+
+(* Allocates a [`Permanent] thread-rooted pad so that the VM's allocated
+   byte count reaches exactly [target]. *)
+let pad_to vm th target =
+  let n = target - Vm.allocated_bytes vm in
+  if n > 0 then ignore (Vm.alloc vm th ~size:n ~lifetime:`Permanent)
+
+let test_death_queue_due_keys () =
+  let vm = Vm.create machine (small_config Gc_config.Serial) ~seed:3 in
+  let th = Vm.spawn_thread vm in
+  let n = 4096 in
+  let rooted id = Gcperf_util.Int_table.mem th.Vm.roots id in
+  let global_live id =
+    Vm.system_gc vm;
+    Vm.is_live vm id
+  in
+  let step () = Vm.step vm ~dt_us:10.0 (fun _ -> ()) in
+  (* A root's due key is the allocated byte count after its own
+     allocation plus its lifetime. *)
+  let t_id = Vm.alloc vm th ~size:64 ~lifetime:(`Bytes n) in
+  let t_due = Vm.allocated_bytes vm + n in
+  let g_id = Vm.alloc_global vm ~size:64 ~lifetime:(`Bytes n) in
+  let g_due = Vm.allocated_bytes vm + n in
+  (* A killed thread's pending death is skipped: the object, re-rooted
+     globally, keeps its global root past the due key. *)
+  let other = Vm.spawn_thread vm in
+  let k_id = Vm.alloc vm other ~size:64 ~lifetime:(`Bytes 1) in
+  Vm.kill_thread vm other;
+  Vm.global_root vm k_id;
+  pad_to vm th (t_due - 1);
+  step ();
+  Alcotest.(check bool) "thread root kept one byte short" true (rooted t_id);
+  pad_to vm th t_due;
+  Alcotest.(check bool) "not dropped before the step" true (rooted t_id);
+  step ();
+  Alcotest.(check bool) "thread root dropped at the first step" false
+    (rooted t_id);
+  Alcotest.(check bool) "killed thread's root re-rooted, not dropped" true
+    (global_live k_id);
+  Alcotest.(check int) "killed thread holds no roots" 0
+    (Gcperf_util.Int_table.length other.Vm.roots);
+  Alcotest.(check bool) "global root kept one byte short" true
+    (global_live g_id);
+  pad_to vm th (g_due - 1);
+  step ();
+  Alcotest.(check bool) "global root still kept" true (global_live g_id);
+  pad_to vm th g_due;
+  Alcotest.(check bool) "not dropped before the step" true (global_live g_id);
+  step ();
+  Alcotest.(check bool) "global root dropped at the first step" false
+    (global_live g_id)
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* Host words of a death-queue push and drain.  A prior 100k-object
+   churn collected by [system_gc] leaves free slots, and a [system_gc]
+   after every round hands the same ids back in the same order, so no
+   store column or root-table bucket grows inside a measured region.
+   The drain is isolated by difference: the step that drains 300 deaths
+   against a step that drains none. *)
+let test_death_queue_no_alloc () =
+  let vm = Vm.create machine (small_config Gc_config.Serial) ~seed:3 in
+  let th = Vm.spawn_thread vm in
+  for _ = 1 to 100_000 do
+    Vm.drop_root vm th (Vm.alloc vm th ~size:16 ~lifetime:`Permanent)
+  done;
+  Vm.system_gc vm;
+  let step () = Vm.step vm ~dt_us:10.0 (fun _ -> ()) in
+  (* Each death falls due one byte later, within the next allocation. *)
+  let dying () =
+    for _ = 1 to 300 do
+      ignore (Vm.alloc_dying vm th ~size:16 ~bytes:1)
+    done
+  in
+  let overhead = minor_words_of (fun () -> ()) in
+  for round = 1 to 8 do
+    let w_push = minor_words_of dying in
+    let w_drain = minor_words_of step in
+    let w_idle = minor_words_of step in
+    Vm.system_gc vm;
+    (* The first rounds grow the death heap's columns. *)
+    if round > 3 then begin
+      Alcotest.(check (float 0.0)) "300 pushes allocate nothing" 0.0
+        (w_push -. overhead);
+      Alcotest.(check (float 0.0)) "draining allocates nothing" w_idle
+        w_drain
+    end
+  done
+
 (* --- hot-path data structures (remembered set, epoch marks) ----------- *)
 
 module Gh = Gcperf_heap.Gen_heap
@@ -746,6 +839,13 @@ let () =
             test_probe_cms_per_collector;
           Alcotest.test_case "dropped VMs are released" `Quick
             test_dropped_vm_released;
+        ] );
+      ( "death queue",
+        [
+          Alcotest.test_case "roots dropped at their due key" `Quick
+            test_death_queue_due_keys;
+          Alcotest.test_case "push and drain allocate nothing" `Quick
+            test_death_queue_no_alloc;
         ] );
       ( "hot-path structures",
         [

@@ -3,6 +3,7 @@
 module Prng = Gcperf_util.Prng
 module Vec = Gcperf_util.Vec
 module Heapq = Gcperf_util.Heapq
+module Int_heap = Gcperf_util.Int_heap
 module Bitset = Gcperf_util.Bitset
 
 (* --- Prng ----------------------------------------------------------- *)
@@ -319,16 +320,6 @@ let test_heapq_ordering () =
   drain ();
   Alcotest.(check (list int)) "sorted" [ 0; 1; 1; 3; 4; 5; 9 ] (List.rev !out)
 
-let test_heapq_pop_until () =
-  let q = Heapq.create () in
-  List.iter (fun k -> Heapq.push q k (k * 10)) [ 3; 1; 7; 5 ];
-  let popped = Heapq.pop_until q 5 in
-  Alcotest.(check (list (pair int int)))
-    "pops keys <= 5 in order"
-    [ (1, 10); (3, 30); (5, 50) ]
-    popped;
-  Alcotest.(check int) "one left" 1 (Heapq.length q)
-
 let test_heapq_min_key () =
   let q = Heapq.create () in
   Alcotest.(check (option int)) "empty" None (Heapq.min_key q);
@@ -348,6 +339,186 @@ let prop_heapq_sorted =
         | Some (k, ()) -> drain (k :: acc)
       in
       drain [] = List.sort compare keys)
+
+(* The boxed-record binary heap the struct-of-arrays queues replaced,
+   kept verbatim as the oracle for their pop order: equal keys must
+   leave in exactly this heap's order. *)
+module Boxed_heapq = struct
+  type 'a entry = { key : int; payload : 'a }
+  type 'a t = { heap : 'a entry Vec.t }
+
+  let create () = { heap = Vec.create () }
+  let is_empty q = Vec.is_empty q.heap
+
+  let swap q i j =
+    let a = Vec.get q.heap i and b = Vec.get q.heap j in
+    Vec.set q.heap i b;
+    Vec.set q.heap j a
+
+  let rec sift_up q i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if (Vec.get q.heap i).key < (Vec.get q.heap parent).key then begin
+        swap q i parent;
+        sift_up q parent
+      end
+    end
+
+  let rec sift_down q i =
+    let n = Vec.length q.heap in
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < n && (Vec.get q.heap l).key < (Vec.get q.heap !smallest).key then
+      smallest := l;
+    if r < n && (Vec.get q.heap r).key < (Vec.get q.heap !smallest).key then
+      smallest := r;
+    if !smallest <> i then begin
+      swap q i !smallest;
+      sift_down q !smallest
+    end
+
+  let push q key payload =
+    Vec.push q.heap { key; payload };
+    sift_up q (Vec.length q.heap - 1)
+
+  let pop q =
+    if is_empty q then None
+    else begin
+      let e = Vec.get q.heap 0 in
+      let last = Vec.pop q.heap in
+      if not (is_empty q) then begin
+        Vec.set q.heap 0 last;
+        sift_down q 0
+      end;
+      Some (e.key, e.payload)
+    end
+end
+
+(* Random interleavings of pushes (over keys 0..5, so most keys tie)
+   and pops; [None] is a pop.  Payloads are the push's index. *)
+let heap_ops =
+  QCheck.(list (option (int_bound 5)))
+
+(* Replays [ops] on the oracle and on a candidate given by its push and
+   pop, draining both at the end; true when every pop agrees. *)
+let same_pops ops ~push ~pop =
+  let o = Boxed_heapq.create () in
+  let agree = ref true in
+  List.iteri
+    (fun i op ->
+      match op with
+      | Some k ->
+          Boxed_heapq.push o k i;
+          push k i
+      | None -> if Boxed_heapq.pop o <> pop () then agree := false)
+    ops;
+  let rec drain () =
+    match Boxed_heapq.pop o with
+    | None -> pop () = None
+    | Some e -> pop () = Some e && drain ()
+  in
+  !agree && drain ()
+
+let prop_heapq_pop_order =
+  QCheck.Test.make ~name:"heapq pops (key, payload) in the boxed heap's order"
+    ~count:500 heap_ops (fun ops ->
+      let q = Heapq.create () in
+      same_pops ops ~push:(Heapq.push q) ~pop:(fun () ->
+          if Heapq.is_empty q then None
+          else begin
+            let k = Heapq.top_key q and v = Heapq.top q in
+            Heapq.remove_min q;
+            Some (k, v)
+          end))
+
+let prop_int_heap_pop_order =
+  QCheck.Test.make
+    ~name:"int_heap pops (key, a, b) in the boxed heap's order" ~count:500
+    heap_ops (fun ops ->
+      let h = Int_heap.create () in
+      (* [b] mirrors [a] through a bijection, so a column mix-up shows. *)
+      same_pops ops
+        ~push:(fun k i -> Int_heap.push h k i (-i - 1))
+        ~pop:(fun () ->
+          if Int_heap.is_empty h then None
+          else begin
+            let k = Int_heap.top_key h
+            and a = Int_heap.top_a h
+            and b = Int_heap.top_b h in
+            Int_heap.remove_min h;
+            if b <> -a - 1 then None else Some (k, a)
+          end))
+
+(* [n] push/pop cycles on a heap holding [Int_heap.length h] entries,
+   keys from a local LCG; nothing here may allocate. *)
+let int_heap_cycles h n =
+  let state = ref 17 in
+  for i = 1 to n do
+    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+    Int_heap.push h (!state land 1023) i (-i);
+    Int_heap.remove_min h
+  done
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_int_heap_no_alloc () =
+  let h = Int_heap.create () in
+  (* Warm-up: grow the columns past the steady-state size. *)
+  for i = 1 to 512 do
+    Int_heap.push h (i * 7 mod 301) i i
+  done;
+  for _ = 1 to 256 do
+    Int_heap.remove_min h
+  done;
+  let overhead = minor_words_of (fun () -> ()) in
+  let words = minor_words_of (fun () -> int_heap_cycles h 10_000) in
+  Alcotest.(check (float 0.0)) "10k push/pop cycles allocate 0 words" 0.0
+    (words -. overhead);
+  Alcotest.(check int) "size unchanged" 256 (Int_heap.length h)
+
+let test_int_heap_empty () =
+  let h = Int_heap.create () in
+  Alcotest.check_raises "top_key" (Invalid_argument "Int_heap: empty")
+    (fun () -> ignore (Int_heap.top_key h));
+  Alcotest.check_raises "remove_min" (Invalid_argument "Int_heap: empty")
+    (fun () -> Int_heap.remove_min h);
+  Int_heap.push h 3 1 2;
+  Int_heap.remove_min h;
+  Alcotest.(check bool) "empty again" true (Int_heap.is_empty h)
+
+(* Fresh payloads tracked by a weak array; the filling runs in its own
+   function so no local of the test keeps one alive. *)
+let[@inline never] fill_weak q w =
+  for i = 0 to Weak.length w - 1 do
+    let p = Bytes.make 32 (Char.chr (65 + (i mod 26))) in
+    Weak.set w i (Some p);
+    Heapq.push q (i mod 4) p
+  done
+
+let weak_live w =
+  let n = ref 0 in
+  for i = 0 to Weak.length w - 1 do
+    if Weak.check w i then incr n
+  done;
+  !n
+
+let test_heapq_releases_popped () =
+  let q = Heapq.create () in
+  let w = Weak.create 64 in
+  fill_weak q w;
+  for _ = 1 to 40 do
+    Heapq.remove_min q
+  done;
+  ignore (Heapq.pop q);
+  Gc.full_major ();
+  Alcotest.(check int) "only queued payloads survive" (Heapq.length q)
+    (weak_live w);
+  Heapq.clear q;
+  Gc.full_major ();
+  Alcotest.(check int) "cleared payloads are collectable" 0 (weak_live w)
 
 (* --- Bitset --------------------------------------------------------- *)
 
@@ -455,9 +626,18 @@ let () =
       ( "heapq",
         [
           Alcotest.test_case "ordering" `Quick test_heapq_ordering;
-          Alcotest.test_case "pop_until" `Quick test_heapq_pop_until;
           Alcotest.test_case "min_key" `Quick test_heapq_min_key;
+          Alcotest.test_case "popped payloads are released" `Quick
+            test_heapq_releases_popped;
           QCheck_alcotest.to_alcotest prop_heapq_sorted;
+          QCheck_alcotest.to_alcotest prop_heapq_pop_order;
+        ] );
+      ( "int_heap",
+        [
+          Alcotest.test_case "empty heap" `Quick test_int_heap_empty;
+          Alcotest.test_case "steady state allocates nothing" `Quick
+            test_int_heap_no_alloc;
+          QCheck_alcotest.to_alcotest prop_int_heap_pop_order;
         ] );
       ( "bitset",
         [
